@@ -16,8 +16,11 @@
 //! * a [`ThresholdCache`] of Algorithm 1 results keyed by
 //!   `(model fingerprint, k, ε, Δ, seed, backend, restart budget)`, so repeated
 //!   and overlapping queries skip the Monte-Carlo replicate loop entirely, and
-//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min, miner)`, so a
-//!   request that only changes `α`/`β` re-tests without re-mining.
+//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min, miner)`: each
+//!   holds the family `F_k(ŝ_min)` itself, and both procedures test subsets of
+//!   it — Procedure 2 returns `F_k(s*)` with `s* ≥ ŝ_min`, and the Procedure 1
+//!   baseline tests all of `F_k(ŝ_min)` — so the family is mined once per
+//!   `(k, ŝ_min)` and a request that only changes `α`/`β` mines nothing.
 //!
 //! Queries are typed values: an [`AnalysisRequest`] (single `k` or a multi-`k`
 //! batch) goes in, an [`AnalysisResponse`] (per-`k` [`AnalysisReport`]s plus
@@ -72,7 +75,7 @@ use sigfim_mining::counting::SupportProfile;
 use sigfim_mining::miner::MinerKind;
 
 use crate::montecarlo::{FindPoissonThreshold, ObservationStore, ThresholdEstimate};
-use crate::procedure1::Procedure1;
+use crate::procedure1::{ItemFrequencies, Procedure1};
 use crate::procedure2::Procedure2;
 use crate::report::{AnalysisParameters, AnalysisReport};
 use crate::{CoreError, Result};
@@ -109,7 +112,10 @@ pub struct AnalysisRequest {
     /// The random seed; together with the other key fields it addresses the
     /// engine's [`ThresholdCache`].
     pub seed: u64,
-    /// Mining algorithm for the CSR path of Procedure 1 and the profile pass.
+    /// Mining algorithm for the profile pass on the CSR path (and the
+    /// parallel Eclat on the bitmap paths when it is
+    /// [`MinerKind::ParEclat`]). Procedure 1 mines nothing of its own: it
+    /// tests the same cached profile.
     pub miner: MinerKind,
     /// λ estimator selection.
     pub lambda_mode: LambdaMode,
@@ -930,24 +936,53 @@ pub struct AnalysisEngine<M: NullModel + Sync = BernoulliModel> {
     /// Δ-extended re-query reuses them instead of re-sampling (see
     /// [`ObservationStore`]). Shared by clones, like the threshold store.
     observations: ObservationStore,
-    /// Floor profiles by `(k, s_min, miner)`: a request that re-tests the same
-    /// threshold with different `α`/`β` budgets skips the mining pass too.
+    /// Floor profiles by `(k, s_min, miner)`, each holding the mined family
+    /// `F_k(s_min)` itself and the frequencies of its items: Procedure 2's
+    /// family and the Procedure 1 baseline are filters over it, so a request
+    /// that re-tests the same threshold with different `α`/`β` budgets mines
+    /// nothing and scans nothing.
     /// LRU-bounded at [`DEFAULT_PROFILE_CACHE_CAPACITY`] by default — profiles
     /// are much larger than threshold estimates, so unlike the threshold
     /// cache this one ships bounded (see
     /// [`AnalysisEngine::with_profile_cache_capacity`]). Values are
     /// `Arc`-wrapped so a cache hit hands back a pointer, never a deep copy
-    /// of the support list.
-    profiles: LruCache<ProfileKey, Arc<SupportProfile>>,
+    /// of the family.
+    profiles: LruCache<ProfileKey, Arc<CachedProfile>>,
+    /// The per-dataset statistics every report and Procedure 2 read,
+    /// computed by `rebuild_views`; present exactly when `dataset` is.
+    stats: Option<DatasetStats>,
+}
+
+/// One profile-cache entry: the floor profile and the frequencies of the
+/// items in its family, which is all Procedure 1 multiplies. Kept per
+/// profile rather than per dataset, they cost O(items in the family)
+/// instead of O(items in the universe).
+#[derive(Debug)]
+struct CachedProfile {
+    profile: SupportProfile,
+    frequencies: ItemFrequencies,
+}
+
+/// Statistics of an engine's dataset that each request reads once per `k`.
+/// Each is an O(entries) scan, so the engine computes them once per dataset
+/// instead.
+#[derive(Debug, Clone)]
+struct DatasetStats {
+    /// The report's dataset summary.
+    summary: DatasetSummary,
+    /// `s_max`, the upper end of Procedure 2's grid.
+    max_item_support: u64,
 }
 
 /// The identity of one cached floor profile: `(k, s_min, miner)`.
 type ProfileKey = (usize, u64, MinerKind);
 
 /// The default bound of the per-engine `SupportProfile` cache. A profile
-/// holds every k-itemset support above its floor — potentially megabytes on
-/// dense data — so engines cap the cache by default; 32 entries comfortably
-/// cover a k-sweep times a few distinct floors.
+/// holds every k-itemset above its floor, the family `F_k(ŝ_min)` itself, at
+/// `4k + 8` bytes per itemset (its items and its support) plus 12 bytes per
+/// distinct item for the frequencies Procedure 1 reads — potentially
+/// megabytes on dense data — so engines cap the cache by default; 32 entries
+/// comfortably cover a k-sweep times a few distinct floors.
 pub const DEFAULT_PROFILE_CACHE_CAPACITY: usize = 32;
 
 /// The dyn-erased engine: the concrete null-model type is boxed away, so
@@ -1056,6 +1091,7 @@ impl<M: NullModel + Send + Sync + 'static> AnalysisEngine<M> {
             store: self.store,
             observations: self.observations,
             profiles: self.profiles,
+            stats: self.stats,
         }
     }
 }
@@ -1098,6 +1134,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
             store: ThresholdStore::new(),
             observations: ObservationStore::new(),
             profiles: LruCache::with_capacity(DEFAULT_PROFILE_CACHE_CAPACITY),
+            stats: None,
         }
     }
 
@@ -1289,11 +1326,11 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
 
             observer.stage_started(k, AnalysisStage::Procedure2);
             let profile_key = (k, estimate.s_min, request.miner);
-            let profile = match self.profiles.get(&profile_key) {
-                Some(profile) => profile,
+            let cached = match self.profiles.get(&profile_key) {
+                Some(cached) => cached,
                 None => {
                     let dataset = self.dataset.as_ref().expect("checked above");
-                    let profile = Arc::new(Procedure2::mine_profile(
+                    let profile = Procedure2::mine_profile(
                         request.miner,
                         dataset,
                         self.bitmap.as_ref(),
@@ -1302,26 +1339,26 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                         k,
                         estimate.s_min,
                         self.policy,
-                    )?);
-                    self.profiles.insert(profile_key, Arc::clone(&profile));
-                    profile
+                    )?;
+                    let cached = Arc::new(CachedProfile {
+                        frequencies: ItemFrequencies::for_profile(dataset, &profile),
+                        profile,
+                    });
+                    self.profiles.insert(profile_key, Arc::clone(&cached));
+                    cached
                 }
             };
             let dataset = self.dataset.as_ref().expect("checked above");
+            let stats = self.stats.as_ref().expect("rebuild_views computes stats");
             let procedure2 = Procedure2 {
                 k,
                 alpha: request.alpha,
                 beta: request.beta,
-                miner: request.miner,
-                backend: self.backend,
-                policy: self.policy,
+                ..Procedure2::new(k)
             }
             .run_prepared(
-                dataset,
-                self.bitmap.as_ref(),
-                self.sharded.as_ref(),
-                self.spilled.as_deref(),
-                &profile,
+                stats.max_item_support,
+                &cached.profile,
                 estimate.s_min,
                 &lambda,
             )?;
@@ -1332,10 +1369,14 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                 let result = Procedure1 {
                     k,
                     beta: request.beta,
-                    miner: request.miner,
                     ..Procedure1::new(k)
                 }
-                .run(dataset, estimate.s_min)?;
+                .run_prepared(
+                    dataset,
+                    &cached.frequencies,
+                    &cached.profile,
+                    estimate.s_min,
+                )?;
                 observer.stage_completed(k, AnalysisStage::Procedure1);
                 Some(result)
             } else {
@@ -1356,7 +1397,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                         miner: request.miner,
                         backend: self.backend,
                     },
-                    dataset: DatasetSummary::from_dataset(dataset),
+                    dataset: stats.summary.clone(),
                     threshold: estimate,
                     procedure2,
                     procedure1,
@@ -1461,11 +1502,16 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
 
     /// Rebuild the owned dataset views after a dataset/backend change: the
     /// bitmap (or sharded bitmap) is built once here and shared by every
-    /// subsequent Procedure 2 pass (and k-sweep), instead of once per call.
+    /// subsequent Procedure 2 pass (and k-sweep), instead of once per call,
+    /// and so are the dataset statistics every request reads.
     fn rebuild_views(&mut self) {
         self.bitmap = None;
         self.sharded = None;
         self.spilled = None;
+        self.stats = self.dataset.as_ref().map(|dataset| DatasetStats {
+            summary: DatasetSummary::from_dataset(dataset),
+            max_item_support: dataset.max_item_support(),
+        });
         if let Some(dataset) = &self.dataset {
             match self.backend.resolve_for_dataset(dataset) {
                 ResolvedBackend::Csr => {}

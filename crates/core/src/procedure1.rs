@@ -1,11 +1,17 @@
 //! Procedure 1 of the paper: the baseline multi-comparison test.
 //!
-//! Mine `F_k(s_min)` — the k-itemsets with support at least the Poisson threshold —
+//! Take `F_k(s_min)` — the k-itemsets with support at least the Poisson threshold —
 //! from the real dataset; for each itemset `X` compute the Binomial p-value
 //! `Pr[Bin(t, f_X) ≥ support(X)]` of its observed support under the null model
 //! (`f_X` is the product of the individual item frequencies); and apply the
 //! Benjamini–Yekutieli step-up procedure (Theorem 5) with `m = C(n, k)` hypotheses
 //! to select a subset with FDR at most `β`.
+//!
+//! `F_k(s_min)` is exactly the floor [`SupportProfile`] Procedure 2 mines at the
+//! same threshold, so [`Procedure1::run_prepared`] tests the itemsets of a
+//! profile it is handed and mines nothing; the [`crate::AnalysisEngine`] passes
+//! its cached profile, so the baseline costs no mining pass of its own.
+//! [`Procedure1::run`] mines the profile itself, for standalone callers.
 //!
 //! This is the comparison baseline of Table 5: it controls the FDR correctly, but
 //! because it implicitly tests all `C(n, k)` hypotheses its power is often much lower
@@ -14,11 +20,13 @@
 
 use serde::{Deserialize, Serialize};
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
+use sigfim_mining::counting::SupportProfile;
 use sigfim_mining::miner::MinerKind;
 use sigfim_stats::multiple_testing::{benjamini_hochberg, benjamini_yekutieli, bonferroni};
 use sigfim_stats::special::ln_choose;
 use sigfim_stats::Binomial;
 
+use crate::procedure2::ensure_profile_covers;
 use crate::{CoreError, Result};
 
 /// Which multiple-testing correction Procedure 1 applies to the per-itemset
@@ -54,7 +62,7 @@ pub struct Procedure1 {
     pub k: usize,
     /// FDR budget `β` (significance level `α` for the Bonferroni ablation).
     pub beta: f64,
-    /// Mining algorithm used to obtain `F_k(s_min)`.
+    /// Mining algorithm [`Procedure1::run`] obtains `F_k(s_min)` with.
     pub miner: MinerKind,
     /// Multiple-testing correction.
     pub correction: CorrectionMethod,
@@ -97,33 +105,50 @@ impl Procedure1 {
     /// `s_min = 0`, and propagates mining/statistics errors.
     pub fn run(&self, dataset: &TransactionDataset, s_min: u64) -> Result<Procedure1Result> {
         self.validate()?;
-        if s_min == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "s_min",
-                reason: "support threshold must be at least 1".into(),
-            });
-        }
+        check_s_min(s_min)?;
+        let profile = SupportProfile::with_miner(self.miner, dataset, self.k, s_min)?;
+        let frequencies = ItemFrequencies::for_profile(dataset, &profile);
+        self.run_prepared(dataset, &frequencies, &profile, s_min)
+    }
+
+    /// Run Procedure 1 against pre-computed state: the dataset's item
+    /// `frequencies` (at least for the items in the family) and a floor
+    /// `profile` mined at or below `s_min` (see
+    /// [`crate::Procedure2::mine_profile`]). The tested family `F_k(s_min)` is
+    /// the profile's itemsets with support at least `s_min`, in canonical
+    /// order, so this mines nothing. Equivalent to [`Procedure1::run`] when
+    /// both describe `dataset`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] for invalid configuration,
+    /// `s_min = 0`, or a `profile` that does not cover this `(k, s_min)`, and
+    /// propagates statistics errors.
+    pub fn run_prepared(
+        &self,
+        dataset: &TransactionDataset,
+        frequencies: &ItemFrequencies,
+        profile: &SupportProfile,
+        s_min: u64,
+    ) -> Result<Procedure1Result> {
+        self.validate()?;
+        check_s_min(s_min)?;
+        ensure_profile_covers(profile, self.k, s_min)?;
         let t = dataset.num_transactions() as u64;
         let n = dataset.num_items() as u64;
-        let frequencies = dataset.item_frequencies();
-        let candidates = self.miner.mine_k(dataset, self.k, s_min)?;
 
         // m = C(n, k): the number of hypotheses implicitly tested.
         let hypotheses = ln_choose(n, self.k as u64).exp();
 
-        let mut tested: Vec<TestedItemset> = candidates
-            .into_iter()
-            .map(|candidate| {
-                let f_itemset: f64 = candidate
-                    .items
-                    .iter()
-                    .map(|&i| frequencies[i as usize])
-                    .product();
+        let mut tested: Vec<TestedItemset> = profile
+            .family_at(s_min)
+            .map(|(items, support)| {
+                let f_itemset: f64 = items.iter().map(|&i| frequencies.get(i)).product();
                 let expected_support = t as f64 * f_itemset;
-                let p_value = Binomial::new(t, f_itemset)?.p_value_upper(candidate.support);
+                let p_value = Binomial::new(t, f_itemset)?.p_value_upper(support);
                 Ok(TestedItemset {
-                    items: candidate.items,
-                    support: candidate.support,
+                    items: items.to_vec(),
+                    support,
                     expected_support,
                     p_value,
                     significant: false,
@@ -166,6 +191,57 @@ impl Procedure1 {
             itemsets: tested,
         })
     }
+}
+
+/// The item frequencies `f_i = n(i) / t` that Procedure 1's null model
+/// multiplies, kept for the items of one profile's family only — the only
+/// ones a test of that family reads. The values equal
+/// [`TransactionDataset::item_frequencies`] bit for bit.
+#[derive(Debug, Clone)]
+pub struct ItemFrequencies {
+    /// The items of the family, ascending.
+    items: Vec<ItemId>,
+    /// `frequencies[j]` is the frequency of `items[j]`.
+    frequencies: Vec<f64>,
+}
+
+impl ItemFrequencies {
+    /// The frequencies of the items in `profile`'s family: one O(entries)
+    /// scan of `dataset`, kept at a cost of O(items in the family) however
+    /// wide the item universe is.
+    pub fn for_profile(dataset: &TransactionDataset, profile: &SupportProfile) -> Self {
+        let mut items: Vec<ItemId> = profile
+            .family_at(profile.floor())
+            .flat_map(|(items, _)| items.iter().copied())
+            .collect();
+        items.sort_unstable();
+        items.dedup();
+        let supports = dataset.item_supports();
+        let t = dataset.num_transactions();
+        let frequencies = items
+            .iter()
+            .map(|&item| supports[item as usize] as f64 / t as f64)
+            .collect();
+        ItemFrequencies { items, frequencies }
+    }
+
+    /// The frequency of `item` (0 for an item outside the family).
+    pub fn get(&self, item: ItemId) -> f64 {
+        self.items
+            .binary_search(&item)
+            .map_or(0.0, |j| self.frequencies[j])
+    }
+}
+
+/// Reject the degenerate threshold `s_min = 0`.
+fn check_s_min(s_min: u64) -> Result<()> {
+    if s_min == 0 {
+        return Err(CoreError::InvalidParameter {
+            name: "s_min",
+            reason: "support threshold must be at least 1".into(),
+        });
+    }
+    Ok(())
 }
 
 /// One itemset of `F_k(s_min)` together with its test statistics.
@@ -345,6 +421,25 @@ mod tests {
         let result3 = Procedure1::new(3).run(&data, 5).unwrap();
         // C(30, 3) = 4060.
         assert!((result3.hypotheses - 4060.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn item_frequencies_match_the_dense_table_on_the_family() {
+        let (data, _) = planted_dataset(5);
+        let dense = data.item_frequencies();
+        for floor in [1, 10] {
+            let profile = SupportProfile::new(&data, 2, floor).unwrap();
+            let frequencies = ItemFrequencies::for_profile(&data, &profile);
+            assert!(!profile.is_empty());
+            for (items, _) in profile.family_at(floor) {
+                for &item in items {
+                    assert_eq!(
+                        frequencies.get(item).to_bits(),
+                        dense[item as usize].to_bits()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,11 +27,8 @@ use sigfim_datasets::spill::SpilledShards;
 use sigfim_datasets::transaction::TransactionDataset;
 use sigfim_exec::ExecutionPolicy;
 use sigfim_mining::counting::SupportProfile;
-use sigfim_mining::eclat::Eclat;
 use sigfim_mining::itemset::ItemsetSupport;
 use sigfim_mining::miner::MinerKind;
-use sigfim_mining::par_eclat::ParallelEclat;
-use sigfim_mining::sharded::{mine_k_sharded, mine_k_spilled};
 use sigfim_stats::testing::{split_alpha_evenly, split_beta_evenly};
 use sigfim_stats::Poisson;
 
@@ -48,17 +45,16 @@ pub struct Procedure2 {
     pub alpha: f64,
     /// FDR budget `β` for the returned family.
     pub beta: f64,
-    /// Mining algorithm used to compute the support profile and the final
-    /// family. [`MinerKind::ParEclat`] makes the bitmap/sharded passes run
-    /// the subtree-parallel Eclat under [`Procedure2::policy`]; every miner
+    /// Mining algorithm [`Procedure2::run`] computes the floor profile with.
+    /// [`MinerKind::ParEclat`] makes the bitmap/sharded passes run the
+    /// subtree-parallel Eclat under [`Procedure2::policy`]; every miner
     /// yields bit-identical results.
     pub miner: MinerKind,
-    /// Physical dataset representation for the profile mining and the final
-    /// family: `Auto` resolves from the dataset's measured density, the
-    /// bitmap path mines with the bitset Eclat over a bitmap built once, and
-    /// the sharded path fans the counting of each level out shard-by-shard
-    /// under [`Procedure2::policy`]. The result is identical under every
-    /// backend.
+    /// Physical dataset representation for [`Procedure2::run`]'s profile
+    /// pass: `Auto` resolves from the dataset's measured density, the bitmap
+    /// path mines with the bitset Eclat over a bitmap built once, and the
+    /// sharded path fans the counting of each level out shard-by-shard under
+    /// [`Procedure2::policy`]. The result is identical under every backend.
     pub backend: DatasetBackend,
     /// Where the sharded backend's per-level counting passes execute.
     /// Counting is bit-identical under every policy (partial counts are exact
@@ -136,14 +132,11 @@ impl Procedure2 {
             });
         }
 
-        // Resolve the physical representation once; on the bitmap paths the
-        // bit-columns are built a single time and serve both the profile pass
-        // and the final family mining below. (A long-lived `AnalysisEngine`
-        // instead builds the views once per dataset and calls
-        // `run_prepared` directly, amortizing them over a whole k-sweep.)
+        // Resolve the physical representation once. (A long-lived
+        // `AnalysisEngine` instead builds the views once per dataset and
+        // caches the profile, amortizing both over many requests.)
         let s_max = dataset.max_item_support();
-        let backend = self.backend.resolve_for_dataset(dataset);
-        let (bitmap, sharded) = match backend {
+        let (bitmap, sharded) = match self.backend.resolve_for_dataset(dataset) {
             ResolvedBackend::Bitmap if s_max >= s_min => {
                 (Some(BitmapDataset::from_dataset(dataset)), None)
             }
@@ -152,43 +145,28 @@ impl Procedure2 {
             }
             _ => (None, None),
         };
-        // Inline `mine_profile` against the already-computed `s_max` (the
-        // support scan is O(entries); no need to repeat it per stage).
-        let profile = if s_max < s_min {
-            SupportProfile::from_itemsets(self.k, s_min, &[])
-        } else {
-            match (&bitmap, &sharded) {
-                (Some(bitmap), _) if self.miner == MinerKind::ParEclat => {
-                    SupportProfile::from_bitmap_parallel(bitmap, self.k, s_min, self.policy)?
-                }
-                (Some(bitmap), _) => SupportProfile::from_bitmap(bitmap, self.k, s_min)?,
-                (None, Some(sharded)) if self.miner == MinerKind::ParEclat => {
-                    SupportProfile::from_sharded_parallel(sharded, self.k, s_min, self.policy)?
-                }
-                (None, Some(sharded)) => {
-                    SupportProfile::from_sharded(sharded, self.k, s_min, self.policy)?
-                }
-                (None, None) => SupportProfile::with_miner(self.miner, dataset, self.k, s_min)?,
-            }
-        };
         // One-shot runs stay fully resident: spilling only pays off when a
         // long-lived engine amortizes the spill files over many requests.
-        self.run_prepared(
+        let profile = Self::mine_profile(
+            self.miner,
             dataset,
             bitmap.as_ref(),
             sharded.as_ref(),
             None,
-            &profile,
+            self.k,
             s_min,
-            lambda,
-        )
+            self.policy,
+        )?;
+        self.run_prepared(s_max, &profile, s_min, lambda)
     }
 
-    /// One mining pass at the floor `s_min`, answering every `Q_{k,s_i}` query
-    /// of the grid: via the bitset Eclat when a bitmap is supplied, via the
-    /// shard-parallel level-wise sweep when a sharded bitmap is supplied (each
-    /// level's counting fans out under `policy`), via the selected miner
-    /// (counting through the density-chosen `SupportCounter`) otherwise. With
+    /// One mining pass at the floor `s_min`, yielding the family `F_k(s_min)`
+    /// that answers every `Q_{k,s_i}` query of the grid and holds every
+    /// family `F_k(s)` with `s ≥ s_min`: via the bitset Eclat when a bitmap
+    /// is supplied, via the shard-parallel level-wise sweep when a sharded
+    /// bitmap is supplied (each level's counting fans out under `policy`),
+    /// via the selected miner (counting through the density-chosen
+    /// `SupportCounter`) otherwise. With
     /// `miner = MinerKind::ParEclat` the bitmap and sharded passes instead run
     /// the subtree-parallel Eclat under `policy` — bit-identical profiles
     /// either way. When no itemset can reach the floor the profile is empty
@@ -213,7 +191,7 @@ impl Procedure2 {
         policy: ExecutionPolicy,
     ) -> Result<SupportProfile> {
         if dataset.max_item_support() < s_min {
-            return Ok(SupportProfile::from_itemsets(k, s_min, &[]));
+            return Ok(SupportProfile::from_itemsets(k, s_min, Vec::new()));
         }
         match (bitmap, spilled, sharded) {
             (Some(bitmap), _, _) if miner == MinerKind::ParEclat => Ok(
@@ -236,28 +214,23 @@ impl Procedure2 {
         }
     }
 
-    /// Run Procedure 2 against pre-built state: a `bitmap`, `sharded`, or
-    /// out-of-core `spilled` view of `dataset` (all `None` for the CSR path)
-    /// and the floor `profile` mined at `s_min` (see
-    /// [`Procedure2::mine_profile`]). This is the engine entry point: the
-    /// views are built once per dataset and the profile once per
-    /// `(k, s_min)`, then shared across every request that needs them.
-    /// Equivalent to [`Procedure2::run`] when the supplied state matches the
-    /// dataset; the spilled path yields bit-identical results at any
-    /// residency budget.
+    /// Run Procedure 2 against a floor `profile` mined at or below `s_min` (see
+    /// [`Procedure2::mine_profile`]) and the dataset's maximum item support
+    /// `s_max`, the upper end of the grid. Every `Q_{k,s_i}` and the returned
+    /// family `F_k(s*)` are read from the profile, so this mines nothing.
+    /// This is the engine entry point: the profile is mined once per
+    /// `(k, s_min)` and `s_max` once per dataset, then shared across every
+    /// request that needs them. Equivalent to [`Procedure2::run`] when both
+    /// describe the dataset.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for invalid configuration,
     /// `s_min = 0`, or a `profile` that does not cover this `(k, s_min)`, and
-    /// propagates mining/statistics errors.
-    #[allow(clippy::too_many_arguments)]
+    /// propagates statistics errors.
     pub fn run_prepared(
         &self,
-        dataset: &TransactionDataset,
-        bitmap: Option<&BitmapDataset>,
-        sharded: Option<&ShardedBitmapDataset>,
-        spilled: Option<&SpilledShards>,
+        s_max: u64,
         profile: &SupportProfile,
         s_min: u64,
         lambda: &dyn LambdaEstimator,
@@ -269,19 +242,8 @@ impl Procedure2 {
                 reason: "the Poisson threshold must be at least 1".into(),
             });
         }
-        if profile.k() != self.k || profile.floor() > s_min {
-            return Err(CoreError::InvalidParameter {
-                name: "profile",
-                reason: format!(
-                    "support profile covers k = {} above floor {} but the run needs k = {} at s_min = {s_min}",
-                    profile.k(),
-                    profile.floor(),
-                    self.k
-                ),
-            });
-        }
+        ensure_profile_covers(profile, self.k, s_min)?;
 
-        let s_max = dataset.max_item_support();
         let grid = Self::support_grid(s_min, s_max);
         let h = grid.len();
         let alphas = split_alpha_evenly(self.alpha, h);
@@ -290,7 +252,7 @@ impl Procedure2 {
         let mut tests = Vec::with_capacity(h);
         let mut s_star = None;
         for (i, &s_i) in grid.iter().enumerate() {
-            let q = if s_max >= s_min { profile.q_at(s_i) } else { 0 };
+            let q = profile.q_at(s_i);
             let lambda_i = lambda.lambda(s_i).max(0.0);
             let p_value = Poisson::new(lambda_i)?.p_value_upper(q);
             let poisson_reject = p_value <= alphas[i];
@@ -315,23 +277,15 @@ impl Procedure2 {
             }
         }
 
-        let significant = match (s_star, bitmap, spilled, sharded) {
-            (Some(s), Some(bitmap), _, _) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_bitmap(bitmap, self.k, s)?
-            }
-            (Some(s), Some(bitmap), _, _) => Eclat.mine_k_bitmap(bitmap, self.k, s)?,
-            (Some(s), None, Some(spilled), _) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_spilled(spilled, self.k, s)?
-            }
-            (Some(s), None, Some(spilled), _) => mine_k_spilled(spilled, self.k, s, self.policy)?,
-            (Some(s), None, None, Some(sharded)) if self.miner == MinerKind::ParEclat => {
-                ParallelEclat::new(self.policy).mine_k_sharded(sharded, self.k, s)?
-            }
-            (Some(s), None, None, Some(sharded)) => {
-                mine_k_sharded(sharded, self.k, s, self.policy)?
-            }
-            (Some(s), None, None, None) => self.miner.mine_k(dataset, self.k, s)?,
-            (None, _, _, _) => Vec::new(),
+        let significant = match s_star {
+            Some(s) => profile
+                .family_at(s)
+                .map(|(items, support)| ItemsetSupport {
+                    items: items.to_vec(),
+                    support,
+                })
+                .collect(),
+            None => Vec::new(),
         };
 
         Ok(Procedure2Result {
@@ -345,6 +299,22 @@ impl Procedure2 {
             significant,
         })
     }
+}
+
+/// Check that `profile` holds `F_k(s_min)`: the run's `k`, at a floor no
+/// higher than `s_min`.
+pub(crate) fn ensure_profile_covers(profile: &SupportProfile, k: usize, s_min: u64) -> Result<()> {
+    if profile.k() != k || profile.floor() > s_min {
+        return Err(CoreError::InvalidParameter {
+            name: "profile",
+            reason: format!(
+                "support profile covers k = {} above floor {} but the run needs k = {k} at s_min = {s_min}",
+                profile.k(),
+                profile.floor(),
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// The outcome of testing one grid point `s_i`.

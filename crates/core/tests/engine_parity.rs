@@ -8,7 +8,10 @@
 //!   reconstructed here from the unchanged building blocks (Algorithm 1 run
 //!   with a fresh seed-derived RNG, Procedure 2, Procedure 1) exactly as the
 //!   old `analyze_with_model` wired them;
-//! * a multi-`k` engine sweep equals `k`-by-`k` single requests; and
+//! * a multi-`k` engine sweep equals `k`-by-`k` single requests;
+//! * a warm α/β re-query, whose Procedure 2 family and Procedure 1 baseline
+//!   come from the cached floor profile, serializes byte for byte like a
+//!   fresh engine's report; and
 //! * the `ThresholdCache` makes Algorithm 1's replicate loop run **at most
 //!   once per distinct key** — asserted both via the response's cache-hit
 //!   metadata and by counting actual null-model sampling calls.
@@ -20,7 +23,7 @@ use rand::SeedableRng;
 
 use sigfim_core::engine::{AnalysisEngine, AnalysisRequest, CacheStatus};
 use sigfim_core::montecarlo::FindPoissonThreshold;
-use sigfim_core::procedure1::Procedure1;
+use sigfim_core::procedure1::{ItemFrequencies, Procedure1};
 use sigfim_core::procedure2::Procedure2;
 use sigfim_core::report::{AnalysisParameters, AnalysisReport};
 use sigfim_core::{DatasetBackend, SignificanceAnalyzer};
@@ -420,4 +423,135 @@ fn warm_cache_hit_returns_the_identical_estimate_without_consuming_rng() {
         AnalysisEngine::with_model(engine.dataset().unwrap().clone(), &fresh_model).unwrap();
     let recomputed = fresh.thresholds(&request).unwrap();
     assert_eq!(recomputed[0].estimate, cold[0].estimate);
+}
+
+#[test]
+fn warm_alpha_beta_requeries_match_fresh_engines_byte_for_byte() {
+    // A warm engine serves Procedure 2's family and the Procedure 1 baseline
+    // from its cached floor profile; a fresh engine mines that profile from
+    // scratch. The serialized reports must not tell them apart, on every
+    // backend and under every miner.
+    let dataset = planted_dataset(71);
+    let base = AnalysisRequest::for_k_range(2..=3)
+        .with_replicates(16)
+        .with_seed(5)
+        .with_baseline(true);
+    let variants = [(0.05, 0.05), (0.01, 0.2), (0.2, 0.01)];
+    let mut tested_itemsets = 0;
+    for backend in [
+        DatasetBackend::Csr,
+        DatasetBackend::Bitmap,
+        DatasetBackend::Sharded,
+    ] {
+        for miner in [MinerKind::Apriori, MinerKind::Eclat, MinerKind::ParEclat] {
+            let engine_for = || {
+                AnalysisEngine::from_dataset(dataset.clone())
+                    .unwrap()
+                    .with_backend(backend)
+                    .with_threads(2)
+            };
+            let mut warm = engine_for();
+            warm.run(&base.clone().with_miner(miner)).unwrap();
+            for (alpha, beta) in variants {
+                let request = base
+                    .clone()
+                    .with_miner(miner)
+                    .with_alpha(alpha)
+                    .with_beta(beta);
+                let warm_response = warm.run(&request).unwrap();
+                let fresh_response = engine_for().run(&request).unwrap();
+                for (warm_run, fresh_run) in warm_response.runs.iter().zip(&fresh_response.runs) {
+                    tested_itemsets += warm_run
+                        .report
+                        .procedure1
+                        .as_ref()
+                        .map_or(0, |p1| p1.num_tested());
+                    assert_eq!(
+                        serde_json::to_string(&warm_run.report).unwrap(),
+                        serde_json::to_string(&fresh_run.report).unwrap(),
+                        "warm report diverged from a fresh engine's \
+                         (backend {backend}, {miner:?}, alpha {alpha}, beta {beta}, k {})",
+                        warm_run.k
+                    );
+                }
+            }
+            let profile_stats = warm.profile_cache_stats();
+            assert_eq!(
+                profile_stats.misses, 2,
+                "one profile per k ({backend}, {miner:?})"
+            );
+            assert_eq!(profile_stats.hits, 2 * variants.len() as u64);
+        }
+    }
+    assert!(
+        tested_itemsets > 0,
+        "the baseline must have tested something"
+    );
+}
+
+#[test]
+fn procedure1_on_a_prepared_profile_equals_the_standalone_run() {
+    let dataset = planted_dataset(83);
+    for k in 2..=3 {
+        for s_min in [3u64, 8, 20] {
+            let procedure = Procedure1::new(k);
+            let standalone = procedure.run(&dataset, s_min).unwrap();
+            // A profile mined at s_min, and one mined below it: both hold
+            // F_k(s_min), so the prepared run tests exactly that family.
+            for floor in [s_min, 1] {
+                let profile = Procedure2::mine_profile(
+                    MinerKind::Eclat,
+                    &dataset,
+                    None,
+                    None,
+                    None,
+                    k,
+                    floor,
+                    sigfim_core::ExecutionPolicy::Sequential,
+                )
+                .unwrap();
+                let frequencies = ItemFrequencies::for_profile(&dataset, &profile);
+                let prepared = procedure
+                    .run_prepared(&dataset, &frequencies, &profile, s_min)
+                    .unwrap();
+                assert_eq!(prepared, standalone, "k {k}, s_min {s_min}, floor {floor}");
+            }
+        }
+    }
+}
+
+#[test]
+fn mismatched_profiles_are_typed_errors() {
+    let dataset = planted_dataset(83);
+    let profile_at = |k: usize, floor: u64| {
+        Procedure2::mine_profile(
+            MinerKind::Apriori,
+            &dataset,
+            None,
+            None,
+            None,
+            k,
+            floor,
+            sigfim_core::ExecutionPolicy::Sequential,
+        )
+        .unwrap()
+    };
+    let is_profile_error = |error: sigfim_core::CoreError| {
+        matches!(
+            error,
+            sigfim_core::CoreError::InvalidParameter {
+                name: "profile",
+                ..
+            }
+        )
+    };
+    let lambda = sigfim_core::lambda::MonteCarloLambda::new(5, vec![1.0, 0.5]).unwrap();
+    // Wrong k, then a floor above s_min: neither profile holds F_2(5).
+    for profile in [profile_at(3, 5), profile_at(2, 6)] {
+        let frequencies = ItemFrequencies::for_profile(&dataset, &profile);
+        let p1 = Procedure1::new(2).run_prepared(&dataset, &frequencies, &profile, 5);
+        assert!(is_profile_error(p1.unwrap_err()));
+        let p2 = Procedure2::new(2).run_prepared(dataset.max_item_support(), &profile, 5, &lambda);
+        assert!(is_profile_error(p2.unwrap_err()));
+    }
 }

@@ -12,7 +12,7 @@
 //! results (`VmHWM` from `/proc/self/status`, reset via
 //! `/proc/self/clear_refs`).
 
-use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
+use sigfim_core::engine::{AnalysisEngine, AnalysisRequest, ThresholdStore};
 use sigfim_core::DatasetBackend;
 use sigfim_datasets::random::{BernoulliModel, PlantedConfig, PlantedModel, PlantedPattern};
 use sigfim_datasets::spill::{ShardResidency, SpillMode, MMAP_SUPPORTED};
@@ -102,6 +102,77 @@ fn spilled_engine_reports_match_resident_bit_for_bit() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// A dataset whose bit matrix (2 MiB) exceeds the largest shard budget the
+/// startup tuner picks (1 MiB), so its sharded view has at least two shards
+/// on any machine: every transaction holds two items on fixed strides, so
+/// every pair recurs and the k = 2 profile is non-trivial.
+fn multi_shard_dataset() -> TransactionDataset {
+    const NUM_ITEMS: u32 = 64;
+    let transactions = (0..1usize << 18)
+        .map(|tid| {
+            let a = ((tid * 7 + 3) % NUM_ITEMS as usize) as u32;
+            let b = ((tid * 13 + 5) % NUM_ITEMS as usize) as u32;
+            let mut txn = vec![a.min(b), a.max(b)];
+            txn.dedup();
+            txn
+        })
+        .collect();
+    TransactionDataset::from_transactions(NUM_ITEMS, transactions).unwrap()
+}
+
+#[test]
+fn warm_alpha_beta_requery_on_a_spilled_engine_faults_nothing() {
+    // Procedure 2's family and the Procedure 1 baseline are filters over the
+    // cached floor profile, so once the cold run has mined it, an α/β
+    // re-query touches no shard: under a 1-byte budget any mining pass would
+    // fault every shard back in and evict it again. The counters are this
+    // engine's own, so tests running in parallel cannot disturb them.
+    let dataset = multi_shard_dataset();
+    let request = AnalysisRequest::for_k(2)
+        .with_replicates(4)
+        .with_seed(13)
+        .with_baseline(true);
+    // One Algorithm 1 run serves every engine below; each engine still
+    // mines its own profile from its own spilled shards.
+    let store = ThresholdStore::new();
+    for miner in [MinerKind::Apriori, MinerKind::ParEclat] {
+        for mode in modes() {
+            let mut engine = AnalysisEngine::from_dataset(dataset.clone())
+                .unwrap()
+                .with_backend(DatasetBackend::Sharded)
+                .with_threads(1)
+                .with_threshold_store(store.clone())
+                .with_shard_residency(ShardResidency {
+                    budget_bytes: 1,
+                    mode,
+                    dir: None,
+                });
+            engine.run(&request.clone().with_miner(miner)).unwrap();
+            let cold = engine.spill_snapshot().unwrap();
+            assert!(cold.shards >= 2, "the view must span several shards");
+            assert!(
+                cold.refaults > 0 && cold.evictions > 0,
+                "the cold run must mine the profile through the 1-byte budget ({miner:?}/{mode})"
+            );
+            for (alpha, beta) in [(0.01, 0.2), (0.2, 0.01)] {
+                let warm_request = request
+                    .clone()
+                    .with_miner(miner)
+                    .with_alpha(alpha)
+                    .with_beta(beta);
+                let warm = engine.run(&warm_request).unwrap();
+                assert_eq!(warm.cache_hits(), 1);
+                let after = engine.spill_snapshot().unwrap();
+                assert_eq!(
+                    (after.refaults, after.evictions),
+                    (cold.refaults, cold.evictions),
+                    "a warm α/β re-query must not mine ({miner:?}/{mode}, alpha {alpha}, beta {beta})"
+                );
             }
         }
     }

@@ -10,8 +10,8 @@
 //!
 //! Both are served here. [`supports_of`] batch-counts explicit candidates by
 //! intersecting the vertical tid-lists of their items; [`SupportProfile`] materializes
-//! the supports of every k-itemset above a floor threshold once and then answers
-//! `Q_{k,s}` queries for any `s` above the floor in `O(log)` time.
+//! every k-itemset above a floor threshold once and then answers `Q_{k,s}` queries
+//! for any `s` above the floor in `O(log)` time and `F_k(s)` queries as a filter.
 
 use std::collections::HashMap;
 
@@ -28,7 +28,7 @@ use sigfim_exec::ExecutionPolicy;
 
 use crate::apriori::Apriori;
 use crate::eclat::Eclat;
-use crate::itemset::ItemsetSupport;
+use crate::itemset::{sort_canonical, ItemsetSupport};
 use crate::miner::KItemsetMiner;
 use crate::Result;
 
@@ -525,14 +525,26 @@ pub fn q_k_s(dataset: &TransactionDataset, k: usize, s: u64) -> Result<u64> {
     Ok(Apriori::default().mine_k(dataset, k, s)?.len() as u64)
 }
 
-/// The supports of every k-itemset whose support is at least a floor threshold,
-/// stored sorted descending so that `Q_{k,s}` for any `s ≥ floor` is a binary search.
+/// The family `F_k(floor)` of every k-itemset whose support is at least a floor
+/// threshold, kept in canonical order with a count of its itemsets per
+/// distinct support: `Q_{k,s}` for any `s ≥ floor` is a binary search and
+/// `F_k(s)` is a filter, so one mining pass at the floor serves every
+/// threshold above it.
+///
+/// Memory: `4k + 8` bytes per itemset (its items, flat, and its support) plus
+/// 16 bytes per distinct support value.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupportProfile {
     k: usize,
     floor: u64,
-    /// Supports of all k-itemsets with support ≥ `floor`, sorted descending.
+    /// The items of every k-itemset with support ≥ `floor`, `k` per itemset,
+    /// the itemsets in canonical order.
+    items: Vec<ItemId>,
+    /// `supports[j]` is the support of the `j`-th itemset of `items`.
     supports: Vec<u64>,
+    /// `(s, Q_{k,s})` for every distinct support `s` of the family, in
+    /// descending order of `s`.
+    tail_counts: Vec<(u64, u64)>,
 }
 
 impl SupportProfile {
@@ -560,7 +572,7 @@ impl SupportProfile {
         floor: u64,
     ) -> Result<Self> {
         let mined = miner.mine_k(dataset, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Like [`SupportProfile::with_miner`], but honoring a dataset-backend
@@ -602,7 +614,7 @@ impl SupportProfile {
     /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
     pub fn from_bitmap(bitmap: &BitmapDataset, k: usize, floor: u64) -> Result<Self> {
         let mined = Eclat.mine_k_bitmap(bitmap, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Mine the profile from a transaction-sharded bitmap: the level-wise
@@ -621,7 +633,7 @@ impl SupportProfile {
         policy: ExecutionPolicy,
     ) -> Result<Self> {
         let mined = crate::sharded::mine_k_sharded(sharded, k, floor, policy)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Mine the profile from an out-of-core spilled dataset: the same
@@ -640,7 +652,7 @@ impl SupportProfile {
         policy: ExecutionPolicy,
     ) -> Result<Self> {
         let mined = crate::sharded::mine_k_spilled(spilled, k, floor, policy)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Like [`SupportProfile::from_spilled`], but mining with the
@@ -660,14 +672,14 @@ impl SupportProfile {
     ) -> Result<Self> {
         let mined =
             crate::par_eclat::ParallelEclat::new(policy).mine_k_spilled(spilled, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Like [`SupportProfile::from_bitmap`], but mining with the
     /// subtree-parallel [`crate::par_eclat::ParallelEclat`] under `policy`.
     /// The profile is bit-identical to [`SupportProfile::from_bitmap`] at any
     /// worker count — the parallel miner's output equals the sequential one
-    /// exactly, and [`SupportProfile::from_itemsets`] only sorts supports.
+    /// exactly, and [`SupportProfile::from_itemsets`] only re-lays it out.
     ///
     /// # Errors
     ///
@@ -679,7 +691,7 @@ impl SupportProfile {
         policy: ExecutionPolicy,
     ) -> Result<Self> {
         let mined = crate::par_eclat::ParallelEclat::new(policy).mine_k_bitmap(bitmap, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Like [`SupportProfile::from_sharded`], but mining with the
@@ -698,15 +710,40 @@ impl SupportProfile {
     ) -> Result<Self> {
         let mined =
             crate::par_eclat::ParallelEclat::new(policy).mine_k_sharded(sharded, k, floor)?;
-        Ok(Self::from_itemsets(k, floor, &mined))
+        Ok(Self::from_itemsets(k, floor, mined))
     }
 
     /// Build a profile from an already-mined list of k-itemsets (all with support
-    /// ≥ `floor`).
-    pub fn from_itemsets(k: usize, floor: u64, itemsets: &[ItemsetSupport]) -> Self {
-        let mut supports: Vec<u64> = itemsets.iter().map(|i| i.support).collect();
-        supports.sort_unstable_by(|a, b| b.cmp(a));
-        SupportProfile { k, floor, supports }
+    /// ≥ `floor`). Every miner already emits canonical order, so the canonical
+    /// sort here is a linear pass over one sorted run.
+    pub fn from_itemsets(k: usize, floor: u64, mut itemsets: Vec<ItemsetSupport>) -> Self {
+        assert!(
+            itemsets.iter().all(|i| i.len() == k && i.support >= floor),
+            "a profile holds k-itemsets with support >= its floor only"
+        );
+        sort_canonical(&mut itemsets);
+        let items: Vec<ItemId> = itemsets
+            .iter()
+            .flat_map(|i| i.items.iter().copied())
+            .collect();
+        let supports: Vec<u64> = itemsets.iter().map(|i| i.support).collect();
+        drop(itemsets);
+        let mut descending = supports.clone();
+        descending.sort_unstable_by(|a, b| b.cmp(a));
+        let mut tail_counts: Vec<(u64, u64)> = Vec::new();
+        for (q, &support) in (1..).zip(&descending) {
+            match tail_counts.last_mut() {
+                Some(last) if last.0 == support => last.1 = q,
+                _ => tail_counts.push((support, q)),
+            }
+        }
+        SupportProfile {
+            k,
+            floor,
+            items,
+            supports,
+            tail_counts,
+        }
     }
 
     /// The itemset size this profile describes.
@@ -726,18 +763,42 @@ impl SupportProfile {
     /// Panics if `s < floor` — the profile holds no information below its floor, and
     /// silently returning a wrong count would corrupt the statistics downstream.
     pub fn q_at(&self, s: u64) -> u64 {
+        self.assert_covers(s);
+        // The last distinct support that is still >= s carries Q_{k,s}.
+        let reached = self
+            .tail_counts
+            .partition_point(|&(support, _)| support >= s);
+        reached.checked_sub(1).map_or(0, |i| self.tail_counts[i].1)
+    }
+
+    /// `F_k(s)`: the k-itemsets with support at least `s` as `(items, support)`
+    /// pairs, in canonical order (exactly what every miner's
+    /// `mine_k(dataset, k, s)` returns).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s < floor`, like [`SupportProfile::q_at`].
+    pub fn family_at(&self, s: u64) -> impl Iterator<Item = (&[ItemId], u64)> + '_ {
+        self.assert_covers(s);
+        let k = self.k;
+        self.supports
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &support)| support >= s)
+            .map(move |(j, &support)| (&self.items[j * k..(j + 1) * k], support))
+    }
+
+    fn assert_covers(&self, s: u64) {
         assert!(
             s >= self.floor,
             "SupportProfile was built with floor {} but was queried at s = {s}",
             self.floor
         );
-        // supports is sorted descending; count entries >= s.
-        self.supports.partition_point(|&x| x >= s) as u64
     }
 
     /// The largest support of any k-itemset (0 if none reach the floor).
     pub fn max_support(&self) -> u64 {
-        self.supports.first().copied().unwrap_or(0)
+        self.tail_counts.first().map_or(0, |&(support, _)| support)
     }
 
     /// Number of itemsets at or above the floor.
@@ -748,11 +809,6 @@ impl SupportProfile {
     /// True if no itemset reaches the floor.
     pub fn is_empty(&self) -> bool {
         self.supports.is_empty()
-    }
-
-    /// The raw descending support values.
-    pub fn supports(&self) -> &[u64] {
-        &self.supports
     }
 }
 
@@ -999,11 +1055,22 @@ mod tests {
             ItemsetSupport::new(vec![1, 3], 7),
             ItemsetSupport::new(vec![2, 3], 7),
         ];
-        let profile = SupportProfile::from_itemsets(2, 5, &sets);
+        let profile = SupportProfile::from_itemsets(2, 5, sets);
+        assert_eq!(profile.q_at(5), 3);
         assert_eq!(profile.q_at(7), 3);
         assert_eq!(profile.q_at(8), 1);
+        assert_eq!(profile.q_at(10), 1);
         assert_eq!(profile.q_at(11), 0);
-        assert_eq!(profile.supports(), &[10, 7, 7]);
+        assert_eq!(profile.max_support(), 10);
+        let family: Vec<_> = profile.family_at(7).collect();
+        assert_eq!(
+            family,
+            vec![(&[1, 2][..], 10), (&[1, 3][..], 7), (&[2, 3][..], 7)]
+        );
+        assert_eq!(
+            profile.family_at(8).collect::<Vec<_>>(),
+            vec![(&[1, 2][..], 10)]
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use sigfim_mining::counting::{
     count_candidates_bitmap, q_k_s, supports_of, BitmapCounter, HorizontalCounter, SupportCounter,
     SupportProfile, TidListCounter,
 };
+use sigfim_mining::itemset::ItemsetSupport;
 use sigfim_mining::miner::{KItemsetMiner, MinerKind};
 use sigfim_mining::{Apriori, BruteForce, Eclat, FpGrowth, ParallelEclat};
 
@@ -70,6 +71,35 @@ proptest! {
         let profile = SupportProfile::new(&dataset, k, 1).unwrap();
         for s in 1..=6u64 {
             prop_assert_eq!(profile.q_at(s), q_k_s(&dataset, k, s).unwrap());
+        }
+    }
+
+    #[test]
+    fn profile_family_is_the_mined_family_at_every_threshold(
+        dataset in varied_density_dataset(),
+        k in 1usize..4,
+        floor in 1u64..5,
+    ) {
+        // The profile holds F_k(floor) itself, so every F_k(s) above the floor
+        // is a filter over it: item for item and in order, exactly what a
+        // fresh mining pass at `s` returns, from the CSR and the bitmap
+        // constructors alike.
+        let bitmap = BitmapDataset::from_dataset(&dataset);
+        let profiles = [
+            SupportProfile::new(&dataset, k, floor).unwrap(),
+            SupportProfile::from_bitmap(&bitmap, k, floor).unwrap(),
+        ];
+        for profile in &profiles {
+            for s in floor..=profile.max_support().max(floor) + 1 {
+                let family: Vec<ItemsetSupport> = profile
+                    .family_at(s)
+                    .map(|(items, support)| ItemsetSupport::new(items.to_vec(), support))
+                    .collect();
+                let apriori = Apriori::default().mine_k(&dataset, k, s).unwrap();
+                prop_assert_eq!(&family, &apriori, "s = {}", s);
+                prop_assert_eq!(&family, &Eclat.mine_k(&dataset, k, s).unwrap(), "s = {}", s);
+                prop_assert_eq!(profile.q_at(s), family.len() as u64, "s = {}", s);
+            }
         }
     }
 
