@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the two significance procedures and of the end-to-end
-//! analyzer, on planted datasets sized so one iteration stays in the tens of
+//! Criterion benchmarks of the two significance procedures and of a cold
+//! end-to-end engine run, on planted datasets sized so one iteration stays in the tens of
 //! milliseconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -7,10 +7,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
 use sigfim_core::lambda::MonteCarloLambda;
 use sigfim_core::procedure1::Procedure1;
 use sigfim_core::procedure2::Procedure2;
-use sigfim_core::SignificanceAnalyzer;
 use sigfim_datasets::random::{BernoulliModel, PlantedConfig, PlantedModel, PlantedPattern};
 use sigfim_datasets::transaction::TransactionDataset;
 
@@ -74,10 +74,11 @@ fn bench_procedure2(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_end_to_end_analyzer(c: &mut Criterion) {
-    // The full pipeline: Algorithm 1 (with a modest replicate count) + Procedure 2
-    // + the Procedure 1 baseline.
-    let mut group = c.benchmark_group("analyzer/end_to_end");
+fn bench_end_to_end_engine(c: &mut Criterion) {
+    // The full pipeline on a fresh engine per iteration, so nothing is cached:
+    // Algorithm 1 (with a modest replicate count) + Procedure 2 + the
+    // Procedure 1 baseline.
+    let mut group = c.benchmark_group("engine/end_to_end");
     group.sample_size(10);
     let dataset = planted_dataset(1_000, 40);
     for replicates in [16usize, 48] {
@@ -85,14 +86,13 @@ fn bench_end_to_end_analyzer(c: &mut Criterion) {
             BenchmarkId::from_parameter(replicates),
             &replicates,
             |b, &replicates| {
+                let request = AnalysisRequest::for_k(2)
+                    .with_replicates(replicates)
+                    .with_seed(3);
                 b.iter(|| {
-                    black_box(
-                        SignificanceAnalyzer::new(2)
-                            .with_replicates(replicates)
-                            .with_seed(3)
-                            .analyze(black_box(&dataset))
-                            .unwrap(),
-                    )
+                    let mut engine =
+                        AnalysisEngine::from_dataset(black_box(&dataset).clone()).unwrap();
+                    black_box(engine.run(&request).unwrap())
                 })
             },
         );
@@ -104,6 +104,6 @@ criterion_group!(
     benches,
     bench_procedure1,
     bench_procedure2,
-    bench_end_to_end_analyzer
+    bench_end_to_end_engine
 );
 criterion_main!(benches);

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
-use sigfim_core::SignificanceAnalyzer;
+use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
 use sigfim_datasets::benchmarks::BenchmarkDataset;
 
 fn bench_table3_row(c: &mut Criterion) {
@@ -28,15 +28,14 @@ fn bench_table3_row(c: &mut Criterion) {
             BenchmarkId::new("k2", bench.name()),
             &dataset,
             |b, dataset| {
+                let request = AnalysisRequest::for_k(2)
+                    .with_replicates(16)
+                    .with_seed(5)
+                    .with_baseline(false);
                 b.iter(|| {
-                    black_box(
-                        SignificanceAnalyzer::new(2)
-                            .with_replicates(16)
-                            .with_seed(5)
-                            .with_procedure1(false)
-                            .analyze(black_box(dataset))
-                            .unwrap(),
-                    )
+                    let mut engine =
+                        AnalysisEngine::from_dataset(black_box(dataset).clone()).unwrap();
+                    black_box(engine.run(&request).unwrap())
                 })
             },
         );

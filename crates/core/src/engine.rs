@@ -1,13 +1,10 @@
-//! The session-oriented high-level API: [`AnalysisEngine`].
+//! The high-level API: [`AnalysisEngine`], the one way to run the paper's
+//! whole pipeline (Algorithm 1, Procedure 2, and the Procedure 1 baseline).
 //!
-//! [`crate::SignificanceAnalyzer`] is one-shot: every call re-derives the null
-//! model, re-resolves the dataset backend, rebuilds the bitmap view, and runs
-//! Algorithm 1 from zero — even when only `k` or `α/β` changed between calls.
 //! The paper's own experiments (Tables 2–5) sweep `k` over a fixed dataset,
-//! which is exactly the reuse pattern a one-shot API forbids.
-//!
-//! The engine is the long-lived counterpart. Constructed **once** from a
-//! dataset (or an explicit [`NullModel`]), it owns:
+//! and ablations re-test one threshold under different `α`/`β` budgets, so
+//! the engine is long-lived: constructed **once** from a dataset (or an
+//! explicit [`NullModel`]), it owns:
 //!
 //! * the dataset and its null model (with the model's stable
 //!   [`NullModel::fingerprint`] computed once),
@@ -16,11 +13,12 @@
 //! * a [`ThresholdCache`] of Algorithm 1 results keyed by
 //!   `(model fingerprint, k, ε, Δ, seed, backend, restart budget)`, so repeated
 //!   and overlapping queries skip the Monte-Carlo replicate loop entirely, and
-//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min, miner)`: each
-//!   holds the family `F_k(ŝ_min)` itself, and both procedures test subsets of
-//!   it — Procedure 2 returns `F_k(s*)` with `s* ≥ ŝ_min`, and the Procedure 1
+//! * a cache of floor [`SupportProfile`]s keyed by `(k, s_min)`: each holds
+//!   the family `F_k(ŝ_min)` itself, and both procedures test subsets of it —
+//!   Procedure 2 returns `F_k(s*)` with `s* ≥ ŝ_min`, and the Procedure 1
 //!   baseline tests all of `F_k(ŝ_min)` — so the family is mined once per
-//!   `(k, ŝ_min)` and a request that only changes `α`/`β` mines nothing.
+//!   `(k, ŝ_min)`, and a request that only changes `α`/`β` or the miner mines
+//!   nothing (every miner yields the same profile).
 //!
 //! Queries are typed values: an [`AnalysisRequest`] (single `k` or a multi-`k`
 //! batch) goes in, an [`AnalysisResponse`] (per-`k` [`AnalysisReport`]s plus
@@ -28,11 +26,13 @@
 //! stage-by-stage and replicate-by-replicate progress — the API layer a
 //! service front-end sits on.
 //!
-//! Results are **bit-identical** to the one-shot analyzer for the same
-//! parameters: each distinct threshold key is computed with a fresh
-//! seed-derived RNG exactly as `SignificanceAnalyzer::analyze` does, so a cache
-//! hit returns precisely what a cold run would have produced (enforced by
-//! `crates/core/tests/engine_parity.rs`).
+//! Results are **bit-identical** to running the stages by hand: each distinct
+//! threshold key is computed with a fresh seed-derived RNG, then Procedures 2
+//! and 1 test the mined family, so a cache hit returns precisely what a cold
+//! run would have produced (enforced against a hand-wired reference pipeline
+//! by `crates/core/tests/engine_parity.rs`). The one-shot
+//! [`crate::Procedure2::run`] and [`crate::Procedure1::run`] remain for
+//! callers that bring their own λ estimator, such as [`crate::ExactLambda`].
 //!
 //! ```
 //! use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
@@ -94,7 +94,8 @@ pub enum LambdaMode {
 }
 
 /// A typed query against an [`AnalysisEngine`]: one `k` or a multi-`k` batch,
-/// plus every knob the one-shot analyzer exposed. Construct with
+/// plus every statistical and algorithmic knob of the pipeline (the engine
+/// itself carries the dataset backend and execution policy). Construct with
 /// [`AnalysisRequest::for_k`] / [`AnalysisRequest::for_k_range`] /
 /// [`AnalysisRequest::for_ks`] and refine with the `with_*` builders.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -114,7 +115,9 @@ pub struct AnalysisRequest {
     pub seed: u64,
     /// Mining algorithm for the profile pass on the CSR path (and the
     /// parallel Eclat on the bitmap paths when it is
-    /// [`MinerKind::ParEclat`]). Procedure 1 mines nothing of its own: it
+    /// [`MinerKind::ParEclat`]). Every miner yields the same profile, so the
+    /// profile cache ignores it: a warm `(k, s_min)` mines nothing whichever
+    /// miner the request names. Procedure 1 mines nothing of its own: it
     /// tests the same cached profile.
     pub miner: MinerKind,
     /// λ estimator selection.
@@ -126,8 +129,8 @@ pub struct AnalysisRequest {
     pub max_restarts: usize,
 }
 
-/// The library-wide default seed (shared with [`crate::SignificanceAnalyzer`]
-/// and the `sigfim` CLI).
+/// The library-wide default seed of every [`AnalysisRequest`], so the engine
+/// API, the service and the `sigfim` CLI reproduce each other bit for bit.
 pub const DEFAULT_SEED: u64 = 0x51F1_D009;
 
 impl AnalysisRequest {
@@ -269,7 +272,7 @@ pub struct KAnalysis {
     pub k: usize,
     /// Whether the `ThresholdEstimate` was served from the cache.
     pub threshold_cache: CacheStatus,
-    /// The full report, identical to what the one-shot analyzer produces.
+    /// The full report for this `k`.
     pub report: AnalysisReport,
 }
 
@@ -893,8 +896,8 @@ impl ThresholdStore {
 /// builds the paper's Bernoulli model, [`AnalysisEngine::with_swap_null`] the
 /// swap-randomization alternative, and [`AnalysisEngine::with_model`] accepts
 /// anything implementing [`NullModel`] (including `&M`, so borrowing callers
-/// need not clone their model, and [`BoxedNullModel`], so the model type can
-/// be erased — see [`DynAnalysisEngine`]).
+/// need not clone their model). [`AnalysisEngine::into_dyn`] erases the model
+/// type (see [`DynAnalysisEngine`]).
 ///
 /// Cloning an engine clones the dataset views but **shares** the threshold
 /// store (an [`Arc`] handle): the clones pool their Algorithm 1 results, which
@@ -936,7 +939,7 @@ pub struct AnalysisEngine<M: NullModel + Sync = BernoulliModel> {
     /// Δ-extended re-query reuses them instead of re-sampling (see
     /// [`ObservationStore`]). Shared by clones, like the threshold store.
     observations: ObservationStore,
-    /// Floor profiles by `(k, s_min, miner)`, each holding the mined family
+    /// Floor profiles by `(k, s_min)`, each holding the mined family
     /// `F_k(s_min)` itself and the frequencies of its items: Procedure 2's
     /// family and the Procedure 1 baseline are filters over it, so a request
     /// that re-tests the same threshold with different `α`/`β` budgets mines
@@ -974,8 +977,9 @@ struct DatasetStats {
     max_item_support: u64,
 }
 
-/// The identity of one cached floor profile: `(k, s_min, miner)`.
-type ProfileKey = (usize, u64, MinerKind);
+/// The identity of one cached floor profile: `(k, s_min)`. The miner is not
+/// part of it, because every miner mines the same family.
+type ProfileKey = (usize, u64);
 
 /// The default bound of the per-engine `SupportProfile` cache. A profile
 /// holds every k-itemset above its floor, the family `F_k(ŝ_min)` itself, at
@@ -990,11 +994,10 @@ pub const DEFAULT_PROFILE_CACHE_CAPACITY: usize = 32;
 /// storable in one registry, routable through one code path. This is the form
 /// the `sigfim-service` crate's `EngineRegistry` stores.
 ///
-/// Build one with [`AnalysisEngine::from_dataset_dyn`] /
-/// [`AnalysisEngine::with_swap_null_dyn`] / [`AnalysisEngine::with_model_dyn`],
-/// or erase an existing generic engine with [`AnalysisEngine::into_dyn`]
-/// (which keeps its warm caches). Results are bit-identical to the generic
-/// engine's: erasure changes neither sampling nor cache keys.
+/// Build a generic engine with any constructor and erase it with
+/// [`AnalysisEngine::into_dyn`] (which keeps its warm caches). Results are
+/// bit-identical to the generic engine's: erasure changes neither sampling
+/// nor cache keys.
 pub type DynAnalysisEngine = AnalysisEngine<BoxedNullModel>;
 
 impl AnalysisEngine<BernoulliModel> {
@@ -1022,53 +1025,6 @@ impl AnalysisEngine<SwapRandomizationModel> {
     pub fn with_swap_null(dataset: TransactionDataset, swaps_per_entry: f64) -> Result<Self> {
         let model = SwapRandomizationModel::new(dataset.clone(), swaps_per_entry)?;
         Self::with_model(dataset, model)
-    }
-}
-
-impl DynAnalysisEngine {
-    /// [`AnalysisEngine::from_dataset`] with the model type erased: the
-    /// engine analyzes `dataset` against the paper's Bernoulli null derived
-    /// from it, but its type no longer names the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] for an empty dataset.
-    pub fn from_dataset_dyn(dataset: TransactionDataset) -> Result<Self> {
-        let model = BernoulliModel::from_dataset(&dataset);
-        Self::with_model_dyn(dataset, model)
-    }
-
-    /// [`AnalysisEngine::with_swap_null`] with the model type erased.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`AnalysisEngine::with_swap_null`].
-    pub fn with_swap_null_dyn(dataset: TransactionDataset, swaps_per_entry: f64) -> Result<Self> {
-        let model = SwapRandomizationModel::new(dataset.clone(), swaps_per_entry)?;
-        Self::with_model_dyn(dataset, model)
-    }
-
-    /// [`AnalysisEngine::with_model`] with the model type erased: accepts any
-    /// owned null model and boxes it behind the object-safe
-    /// [`sigfim_datasets::random::DynNullModel`] boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] for an empty dataset.
-    pub fn with_model_dyn<M>(dataset: TransactionDataset, model: M) -> Result<Self>
-    where
-        M: NullModel + Send + Sync + 'static,
-    {
-        Self::with_model(dataset, Box::new(model) as BoxedNullModel)
-    }
-
-    /// [`AnalysisEngine::from_model`] with the model type erased (threshold-only
-    /// engine, no dataset).
-    pub fn from_model_dyn<M>(model: M) -> Self
-    where
-        M: NullModel + Send + Sync + 'static,
-    {
-        Self::from_model(Box::new(model) as BoxedNullModel)
     }
 }
 
@@ -1181,7 +1137,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
         self
     }
 
-    /// Bound this engine's `(k, s_min, miner)` → `SupportProfile` cache at
+    /// Bound this engine's `(k, s_min)` → `SupportProfile` cache at
     /// `capacity` entries (LRU eviction; 0 disables profile caching). The
     /// profile cache is per-engine — unlike thresholds, profiles are tied to
     /// the engine's own dataset and never shared across tenants. Defaults to
@@ -1325,7 +1281,7 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
             };
 
             observer.stage_started(k, AnalysisStage::Procedure2);
-            let profile_key = (k, estimate.s_min, request.miner);
+            let profile_key = (k, estimate.s_min);
             let cached = match self.profiles.get(&profile_key) {
                 Some(cached) => cached,
                 None => {
@@ -1354,7 +1310,6 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                 k,
                 alpha: request.alpha,
                 beta: request.beta,
-                ..Procedure2::new(k)
             }
             .run_prepared(
                 stats.max_item_support,
@@ -1446,9 +1401,8 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
 
     /// Serve one `(k, request)` threshold: from the cache when the full run
     /// identity is warm, by running Algorithm 1 otherwise. A fresh RNG is
-    /// derived from the request seed per run — exactly as the one-shot
-    /// analyzer derives it — which is what makes the cached value bit-identical
-    /// to a recomputation and the cache sound.
+    /// derived from the request seed per run, which is what makes the cached
+    /// value bit-identical to a recomputation and the cache sound.
     fn threshold_for(
         &mut self,
         k: usize,
@@ -1764,26 +1718,24 @@ mod tests {
 
     #[test]
     fn profile_cache_is_lru_bounded_with_eviction_counters() {
-        // Distinct seeds produce distinct thresholds (usually distinct
-        // s_min), but the discriminating key axis here is the *miner*: the
-        // same (k, s_min) under different miners occupies different slots, so
-        // a capacity-1 cache must evict.
+        // The discriminating key axis here is `k`: the k = 2 and k = 3
+        // profiles occupy different slots, so a capacity-1 cache must evict.
         let mut engine = AnalysisEngine::from_dataset(planted_dataset(5))
             .unwrap()
             .with_profile_cache_capacity(1);
         assert_eq!(engine.profile_cache_stats().capacity, Some(1));
         let base = AnalysisRequest::for_k(2).with_replicates(10);
-        let apriori = engine.run(&base).unwrap();
+        let pairs = engine.run(&base).unwrap();
         engine
-            .run(&base.clone().with_miner(MinerKind::Eclat))
+            .run(&AnalysisRequest::for_k(3).with_replicates(10))
             .unwrap();
         let stats = engine.profile_cache_stats();
         assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 1, "capacity 1 evicts the Apriori profile");
+        assert_eq!(stats.evictions, 1, "capacity 1 evicts the k = 2 profile");
         // Re-running the evicted key re-mines — and produces the identical
         // report (the profile is derived state, never answers-changing).
         let again = engine.run(&base).unwrap();
-        assert_eq!(again.runs[0].report, apriori.runs[0].report);
+        assert_eq!(again.runs[0].report, pairs.runs[0].report);
         let stats = engine.profile_cache_stats();
         assert_eq!(stats.misses, 3, "three distinct mining passes");
         assert_eq!(stats.evictions, 2);
@@ -1878,16 +1830,20 @@ mod tests {
         let mut generic = AnalysisEngine::from_dataset(dataset.clone()).unwrap();
         let expected = generic.run(&request).unwrap();
 
-        // The erased constructor produces the same fingerprint, responses and
+        // An erased fresh engine produces the same fingerprint, responses and
         // cache behaviour.
-        let mut erased = AnalysisEngine::from_dataset_dyn(dataset.clone()).unwrap();
+        let mut erased = AnalysisEngine::from_dataset(dataset.clone())
+            .unwrap()
+            .into_dyn();
         assert_eq!(erased.fingerprint(), generic.fingerprint());
         let response = erased.run(&request).unwrap();
         assert_eq!(response, expected);
 
         // Engines over different model types unify under DynAnalysisEngine —
         // the property that makes them registry-storable.
-        let swap = AnalysisEngine::with_swap_null_dyn(dataset.clone(), 2.0).unwrap();
+        let swap = AnalysisEngine::with_swap_null(dataset.clone(), 2.0)
+            .unwrap()
+            .into_dyn();
         let mut shelf: Vec<DynAnalysisEngine> = vec![erased, swap];
         assert_ne!(shelf[0].fingerprint(), shelf[1].fingerprint());
         for engine in &mut shelf {
@@ -1902,7 +1858,7 @@ mod tests {
 
         // A threshold-only dyn engine works too.
         let model = BernoulliModel::new(60, vec![0.15; 8]).unwrap();
-        let mut thresholds_only = AnalysisEngine::from_model_dyn(model);
+        let mut thresholds_only = AnalysisEngine::from_model(model).into_dyn();
         let runs = thresholds_only
             .thresholds(&AnalysisRequest::for_k(2).with_replicates(4))
             .unwrap();
@@ -1964,5 +1920,163 @@ mod tests {
         engine.run_observed(&request, &recorder).unwrap();
         assert_eq!(recorder.hits.into_inner().unwrap(), vec![2]);
         assert!(recorder.replicates.into_inner().unwrap().is_empty());
+    }
+
+    /// Two planted pairs over a 500 × 30 background: the fixture of the
+    /// recovery, determinism and null-model tests below.
+    fn two_pair_model() -> PlantedModel {
+        let background = BernoulliModel::new(500, vec![0.04; 30]).unwrap();
+        PlantedModel::new(PlantedConfig {
+            background,
+            patterns: vec![
+                PlantedPattern::new(vec![1, 2], 90).unwrap(),
+                PlantedPattern::new(vec![10, 20], 70).unwrap(),
+            ],
+        })
+        .unwrap()
+    }
+
+    /// The one report of a single-`k` request on `engine`.
+    fn report_of<M: NullModel + Sync>(
+        mut engine: AnalysisEngine<M>,
+        request: &AnalysisRequest,
+    ) -> AnalysisReport {
+        engine.run(request).unwrap().into_reports().remove(0)
+    }
+
+    fn significant_items(report: &AnalysisReport) -> Vec<Vec<u32>> {
+        report
+            .procedure2
+            .significant
+            .iter()
+            .map(|itemset| itemset.items.clone())
+            .collect()
+    }
+
+    #[test]
+    fn zero_max_restarts_is_rejected() {
+        // A run validates its request before any work.
+        let dataset = two_pair_model().sample(&mut StdRng::seed_from_u64(4));
+        let mut engine = AnalysisEngine::from_dataset(dataset).unwrap();
+        let request = AnalysisRequest::for_k(2)
+            .with_replicates(8)
+            .with_max_restarts(0);
+        let error = engine.run(&request).unwrap_err();
+        assert!(error.to_string().contains("max_restarts"), "{error}");
+    }
+
+    #[test]
+    fn empty_dataset_is_rejected() {
+        let empty = TransactionDataset::empty(5);
+        assert!(AnalysisEngine::from_dataset(empty.clone()).is_err());
+        let model = BernoulliModel::new(50, vec![0.2; 5]).unwrap();
+        assert!(AnalysisEngine::with_model(empty, model).is_err());
+    }
+
+    #[test]
+    fn planted_pairs_are_recovered_and_noise_is_not() {
+        let model = two_pair_model();
+        let mut rng = StdRng::seed_from_u64(21);
+        let dataset = model.sample(&mut rng);
+        let request = AnalysisRequest::for_k(2).with_replicates(48).with_seed(5);
+        let report = report_of(AnalysisEngine::from_dataset(dataset).unwrap(), &request);
+
+        let s_star = report
+            .procedure2
+            .s_star
+            .expect("planted structure must be detected");
+        assert!(s_star >= report.threshold.s_min);
+        let discovered = significant_items(&report);
+        assert!(discovered.contains(&vec![1, 2]));
+        assert!(discovered.contains(&vec![10, 20]));
+        // Procedure 1 ran too and also finds the planted pairs.
+        let p1 = report.procedure1.as_ref().unwrap();
+        assert!(p1.significant().iter().any(|i| i.items == vec![1, 2]));
+
+        // A pure-noise dataset from the same background yields no detection.
+        let noise = model.background().sample(&mut rng);
+        let noise_report = report_of(AnalysisEngine::from_dataset(noise).unwrap(), &request);
+        assert!(noise_report.procedure2.s_star.is_none());
+        assert!(noise_report.procedure2.significant.is_empty());
+    }
+
+    #[test]
+    fn analysis_is_deterministic_for_a_fixed_seed() {
+        // Two independent engines, same dataset and seed: identical reports.
+        let dataset = two_pair_model().sample(&mut StdRng::seed_from_u64(77));
+        let request = AnalysisRequest::for_k(2).with_replicates(24).with_seed(9);
+        let a = report_of(
+            AnalysisEngine::from_dataset(dataset.clone()).unwrap(),
+            &request,
+        );
+        let b = report_of(AnalysisEngine::from_dataset(dataset).unwrap(), &request);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn swap_null_recovers_planted_pairs_and_preserves_margins() {
+        // The swap null keeps the (inflated) item supports of the planted dataset,
+        // so the planted pairs still stand out: their co-occurrence is far beyond
+        // what margin-preserving shuffles produce.
+        let dataset = two_pair_model().sample(&mut StdRng::seed_from_u64(61));
+        let request = AnalysisRequest::for_k(2)
+            .with_replicates(32)
+            .with_seed(6)
+            .with_baseline(false);
+        let engine = AnalysisEngine::with_swap_null(dataset.clone(), 3.0).unwrap();
+        // Every null dataset keeps the item supports and transaction lengths.
+        let null = engine.model().sample_dataset(&mut StdRng::seed_from_u64(1));
+        assert_eq!(null.item_supports(), dataset.item_supports());
+        let lengths = |d: &TransactionDataset| d.iter().map(<[u32]>::len).collect::<Vec<_>>();
+        assert_eq!(lengths(&null), lengths(&dataset));
+        let report = report_of(engine, &request);
+        assert!(report.procedure2.s_star.is_some());
+        assert!(significant_items(&report).contains(&vec![1, 2]));
+        // Degenerate inputs are rejected cleanly.
+        assert!(AnalysisEngine::with_swap_null(TransactionDataset::empty(3), 3.0).is_err());
+        assert!(AnalysisEngine::with_swap_null(dataset, 0.0).is_err());
+    }
+
+    #[test]
+    fn conservative_lambda_suppresses_singleton_detections_with_few_replicates() {
+        // One lone planted pair, very few replicates: the paper-faithful estimator
+        // (lambda = 0 beyond the Monte-Carlo range) certifies it from a single
+        // observation, while the conservative clamp requires more evidence.
+        let background = BernoulliModel::new(500, vec![0.04; 30]).unwrap();
+        let model = PlantedModel::new(PlantedConfig {
+            background,
+            patterns: vec![PlantedPattern::new(vec![4, 8], 90).unwrap()],
+        })
+        .unwrap();
+        let dataset = model.sample(&mut StdRng::seed_from_u64(51));
+        let mut engine = AnalysisEngine::from_dataset(dataset).unwrap();
+        let faithful = AnalysisRequest::for_k(2)
+            .with_replicates(16)
+            .with_seed(2)
+            .with_baseline(false);
+        let conservative = faithful.clone().with_lambda_mode(LambdaMode::Conservative);
+        let faithful = engine.run(&faithful).unwrap().into_reports().remove(0);
+        let conservative = engine.run(&conservative).unwrap().into_reports().remove(0);
+        assert!(faithful.procedure2.s_star.is_some());
+        // The conservative variant never returns *more* than the faithful one.
+        assert!(conservative.procedure2.num_significant() <= faithful.procedure2.num_significant());
+    }
+
+    #[test]
+    fn custom_null_model_is_honoured() {
+        // Analyze a dataset against a *wrong* null model with much higher
+        // frequencies: everything looks ordinary, so nothing is significant.
+        let dataset = two_pair_model().sample(&mut StdRng::seed_from_u64(13));
+        let inflated = BernoulliModel::new(dataset.num_transactions(), vec![0.5; 30]).unwrap();
+        let request = AnalysisRequest::for_k(2)
+            .with_replicates(16)
+            .with_seed(3)
+            .with_baseline(false);
+        let report = report_of(
+            AnalysisEngine::with_model(dataset, &inflated).unwrap(),
+            &request,
+        );
+        assert!(report.procedure2.s_star.is_none());
+        assert!(report.procedure1.is_none());
     }
 }

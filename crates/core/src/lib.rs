@@ -22,18 +22,17 @@
 //!    a support threshold `s* ≥ s_min` such that, with confidence 1 − α, all
 //!    k-itemsets with support ≥ `s*` can be flagged significant with FDR ≤ β
 //!    (Theorem 6).
-//! 5. **High-level API** ([`engine`], [`analyzer`], [`report`]): the
-//!    session-oriented [`AnalysisEngine`] — typed [`engine::AnalysisRequest`]s,
-//!    multi-`k` batches over views built once, a [`engine::ThresholdCache`] of
-//!    Algorithm 1 results, progress observation — plus the one-shot
-//!    [`SignificanceAnalyzer`] compatibility shim delegating to it;
-//!    [`validation`] evaluates empirical FDR/power against planted ground truth
-//!    and checks the Poisson approximation.
+//! 5. **High-level API** ([`engine`], [`report`]): the session-oriented
+//!    [`AnalysisEngine`] — typed [`engine::AnalysisRequest`]s, multi-`k`
+//!    batches over views built once, a [`engine::ThresholdCache`] of
+//!    Algorithm 1 results, progress observation — is the one way to run the
+//!    whole pipeline; [`validation`] evaluates empirical FDR/power against
+//!    planted ground truth and checks the Poisson approximation.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use sigfim_core::analyzer::SignificanceAnalyzer;
+//! use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
 //! use sigfim_datasets::random::{PlantedConfig, PlantedModel, PlantedPattern, BernoulliModel};
 //! use rand::SeedableRng;
 //!
@@ -47,11 +46,11 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let dataset = planted.sample(&mut rng);
 //!
-//! let report = SignificanceAnalyzer::new(2)
-//!     .with_replicates(40)
-//!     .with_seed(7)
-//!     .analyze(&dataset)
+//! let mut engine = AnalysisEngine::from_dataset(dataset).unwrap();
+//! let response = engine
+//!     .run(&AnalysisRequest::for_k(2).with_replicates(40).with_seed(7))
 //!     .unwrap();
+//! let report = response.report_for(2).unwrap();
 //! // The planted pair is recovered as significant at some threshold s*.
 //! assert!(report.procedure2.s_star.is_some());
 //! assert!(report
@@ -61,7 +60,6 @@
 //!     .any(|i| i.items == vec![3, 7]));
 //! ```
 
-pub mod analyzer;
 pub mod chen_stein;
 pub mod engine;
 pub mod lambda;
@@ -72,7 +70,6 @@ pub mod progress;
 pub mod report;
 pub mod validation;
 
-pub use analyzer::SignificanceAnalyzer;
 pub use chen_stein::ExactChenStein;
 pub use engine::{
     AnalysisEngine, AnalysisRequest, AnalysisResponse, AnalysisStage, CacheStats, CacheStatus,

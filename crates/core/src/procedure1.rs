@@ -21,12 +21,11 @@
 use serde::{Deserialize, Serialize};
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_mining::counting::SupportProfile;
-use sigfim_mining::miner::MinerKind;
 use sigfim_stats::multiple_testing::{benjamini_hochberg, benjamini_yekutieli, bonferroni};
 use sigfim_stats::special::ln_choose;
 use sigfim_stats::Binomial;
 
-use crate::procedure2::ensure_profile_covers;
+use crate::procedure2::{check_s_min, ensure_profile_covers, floor_profile};
 use crate::{CoreError, Result};
 
 /// Which multiple-testing correction Procedure 1 applies to the per-itemset
@@ -62,20 +61,16 @@ pub struct Procedure1 {
     pub k: usize,
     /// FDR budget `β` (significance level `α` for the Bonferroni ablation).
     pub beta: f64,
-    /// Mining algorithm [`Procedure1::run`] obtains `F_k(s_min)` with.
-    pub miner: MinerKind,
     /// Multiple-testing correction.
     pub correction: CorrectionMethod,
 }
 
 impl Procedure1 {
-    /// Procedure 1 with the paper's defaults: Benjamini–Yekutieli at `β = 0.05`,
-    /// Apriori mining.
+    /// Procedure 1 with the paper's defaults: Benjamini–Yekutieli at `β = 0.05`.
     pub fn new(k: usize) -> Self {
         Procedure1 {
             k,
             beta: 0.05,
-            miner: MinerKind::Apriori,
             correction: CorrectionMethod::BenjaminiYekutieli,
         }
     }
@@ -97,7 +92,8 @@ impl Procedure1 {
     }
 
     /// Run Procedure 1 on a dataset, testing the k-itemsets with support at least
-    /// `s_min` (as produced by Algorithm 1 or the analytic bounds).
+    /// `s_min` (as produced by Algorithm 1 or the analytic bounds). Mines
+    /// `F_k(s_min)` once and tests it with [`Procedure1::run_prepared`].
     ///
     /// # Errors
     ///
@@ -106,7 +102,7 @@ impl Procedure1 {
     pub fn run(&self, dataset: &TransactionDataset, s_min: u64) -> Result<Procedure1Result> {
         self.validate()?;
         check_s_min(s_min)?;
-        let profile = SupportProfile::with_miner(self.miner, dataset, self.k, s_min)?;
+        let profile = floor_profile(dataset, self.k, s_min)?;
         let frequencies = ItemFrequencies::for_profile(dataset, &profile);
         self.run_prepared(dataset, &frequencies, &profile, s_min)
     }
@@ -231,17 +227,6 @@ impl ItemFrequencies {
             .binary_search(&item)
             .map_or(0.0, |j| self.frequencies[j])
     }
-}
-
-/// Reject the degenerate threshold `s_min = 0`.
-fn check_s_min(s_min: u64) -> Result<()> {
-    if s_min == 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "s_min",
-            reason: "support threshold must be at least 1".into(),
-        });
-    }
-    Ok(())
 }
 
 /// One itemset of `F_k(s_min)` together with its test statistics.

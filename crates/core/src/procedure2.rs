@@ -21,7 +21,7 @@
 //! holds, the dataset is indistinguishable from its null model.
 
 use serde::{Deserialize, Serialize};
-use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend, ResolvedBackend};
+use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
 use sigfim_datasets::spill::SpilledShards;
 use sigfim_datasets::transaction::TransactionDataset;
@@ -45,35 +45,15 @@ pub struct Procedure2 {
     pub alpha: f64,
     /// FDR budget `β` for the returned family.
     pub beta: f64,
-    /// Mining algorithm [`Procedure2::run`] computes the floor profile with.
-    /// [`MinerKind::ParEclat`] makes the bitmap/sharded passes run the
-    /// subtree-parallel Eclat under [`Procedure2::policy`]; every miner
-    /// yields bit-identical results.
-    pub miner: MinerKind,
-    /// Physical dataset representation for [`Procedure2::run`]'s profile
-    /// pass: `Auto` resolves from the dataset's measured density, the bitmap
-    /// path mines with the bitset Eclat over a bitmap built once, and the
-    /// sharded path fans the counting of each level out shard-by-shard under
-    /// [`Procedure2::policy`]. The result is identical under every backend.
-    pub backend: DatasetBackend,
-    /// Where the sharded backend's per-level counting passes execute.
-    /// Counting is bit-identical under every policy (partial counts are exact
-    /// and reduced in fixed shard order); the CSR and unsharded-bitmap paths
-    /// ignore it.
-    pub policy: ExecutionPolicy,
 }
 
 impl Procedure2 {
-    /// Procedure 2 with the paper's experimental parameters `α = β = 0.05` and
-    /// Apriori mining.
+    /// Procedure 2 with the paper's experimental parameters `α = β = 0.05`.
     pub fn new(k: usize) -> Self {
         Procedure2 {
             k,
             alpha: 0.05,
             beta: 0.05,
-            miner: MinerKind::Apriori,
-            backend: DatasetBackend::Auto,
-            policy: ExecutionPolicy::Sequential,
         }
     }
 
@@ -108,7 +88,12 @@ impl Procedure2 {
         grid
     }
 
-    /// Run Procedure 2.
+    /// Run Procedure 2 on a dataset: mine the floor profile `F_k(s_min)`
+    /// once, then test it with
+    /// [`Procedure2::run_prepared`]. A long-lived [`crate::AnalysisEngine`]
+    /// instead builds the dataset views once and caches the profile; this
+    /// entry point stays for callers with their own λ estimator, such as
+    /// [`crate::ExactLambda`].
     ///
     /// * `s_min` — the Poisson threshold (Algorithm 1's `ŝ_min` or an analytic value).
     /// * `lambda` — an estimator of `λ(s) = E[Q̂_{k,s}]` under the null model (the
@@ -125,39 +110,9 @@ impl Procedure2 {
         lambda: &dyn LambdaEstimator,
     ) -> Result<Procedure2Result> {
         self.validate()?;
-        if s_min == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "s_min",
-                reason: "the Poisson threshold must be at least 1".into(),
-            });
-        }
-
-        // Resolve the physical representation once. (A long-lived
-        // `AnalysisEngine` instead builds the views once per dataset and
-        // caches the profile, amortizing both over many requests.)
-        let s_max = dataset.max_item_support();
-        let (bitmap, sharded) = match self.backend.resolve_for_dataset(dataset) {
-            ResolvedBackend::Bitmap if s_max >= s_min => {
-                (Some(BitmapDataset::from_dataset(dataset)), None)
-            }
-            ResolvedBackend::ShardedBitmap if s_max >= s_min => {
-                (None, Some(ShardedBitmapDataset::from_dataset(dataset)))
-            }
-            _ => (None, None),
-        };
-        // One-shot runs stay fully resident: spilling only pays off when a
-        // long-lived engine amortizes the spill files over many requests.
-        let profile = Self::mine_profile(
-            self.miner,
-            dataset,
-            bitmap.as_ref(),
-            sharded.as_ref(),
-            None,
-            self.k,
-            s_min,
-            self.policy,
-        )?;
-        self.run_prepared(s_max, &profile, s_min, lambda)
+        check_s_min(s_min)?;
+        let profile = floor_profile(dataset, self.k, s_min)?;
+        self.run_prepared(dataset.max_item_support(), &profile, s_min, lambda)
     }
 
     /// One mining pass at the floor `s_min`, yielding the family `F_k(s_min)`
@@ -236,12 +191,7 @@ impl Procedure2 {
         lambda: &dyn LambdaEstimator,
     ) -> Result<Procedure2Result> {
         self.validate()?;
-        if s_min == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "s_min",
-                reason: "the Poisson threshold must be at least 1".into(),
-            });
-        }
+        check_s_min(s_min)?;
         ensure_profile_covers(profile, self.k, s_min)?;
 
         let grid = Self::support_grid(s_min, s_max);
@@ -299,6 +249,35 @@ impl Procedure2 {
             significant,
         })
     }
+}
+
+/// `F_k(s_min)` for the one-shot `run`s of both procedures: one mining pass
+/// through [`SupportProfile::with_backend`], on whichever representation
+/// `Auto` resolves to for `dataset`. Every miner and backend yields the same
+/// profile, so the choice only affects speed.
+pub(crate) fn floor_profile(
+    dataset: &TransactionDataset,
+    k: usize,
+    s_min: u64,
+) -> Result<SupportProfile> {
+    Ok(SupportProfile::with_backend(
+        MinerKind::Apriori,
+        dataset,
+        k,
+        s_min,
+        DatasetBackend::Auto,
+    )?)
+}
+
+/// Reject the degenerate threshold `s_min = 0`.
+pub(crate) fn check_s_min(s_min: u64) -> Result<()> {
+    if s_min == 0 {
+        return Err(CoreError::InvalidParameter {
+            name: "s_min",
+            reason: "the Poisson threshold must be at least 1".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Check that `profile` holds `F_k(s_min)`: the run's `k`, at a floor no

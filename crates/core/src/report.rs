@@ -1,4 +1,4 @@
-//! Result and report types produced by the high-level analyzer.
+//! Result and report types produced by the analysis engine.
 //!
 //! Everything is `serde`-serializable so experiments can be archived and compared,
 //! and [`AnalysisReport`] implements [`std::fmt::Display`] with a compact
@@ -36,7 +36,8 @@ pub struct AnalysisParameters {
     pub backend: DatasetBackend,
 }
 
-/// The full outcome of [`crate::SignificanceAnalyzer::analyze`].
+/// The full outcome of one analysis for one `k`: an entry of
+/// [`crate::AnalysisResponse`], produced by [`crate::AnalysisEngine::run`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisReport {
     /// The parameters the analysis was run with.

@@ -13,14 +13,20 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
+use sigfim_core::lambda::MonteCarloLambda;
 use sigfim_core::montecarlo::FindPoissonThreshold;
-use sigfim_core::procedure2::Procedure2;
+use sigfim_core::procedure2::{Procedure2, Procedure2Result};
+use sigfim_core::report::AnalysisReport;
 use sigfim_core::validation::poisson_fit_with_backend;
-use sigfim_core::{DatasetBackend, ExecutionPolicy, SignificanceAnalyzer, ThresholdEstimate};
+use sigfim_core::{DatasetBackend, ExecutionPolicy, ThresholdEstimate};
 use sigfim_datasets::random::{
-    BernoulliModel, PlantedConfig, PlantedModel, PlantedPattern, SwapRandomizationModel,
+    BernoulliModel, NullModel, PlantedConfig, PlantedModel, PlantedPattern, SwapRandomizationModel,
 };
+use sigfim_datasets::sharded::ShardedBitmapDataset;
 use sigfim_datasets::transaction::TransactionDataset;
+use sigfim_datasets::BitmapDataset;
+use sigfim_mining::miner::MinerKind;
 
 /// The worker counts the parity matrix covers (1 = strictly sequential).
 const THREAD_MATRIX: [usize; 3] = [1, 2, 8];
@@ -33,6 +39,46 @@ fn planted_dataset(seed: u64) -> TransactionDataset {
     })
     .unwrap();
     model.sample(&mut StdRng::seed_from_u64(seed))
+}
+
+/// The one report of a single-`k` request on `engine`.
+fn report_of<M: NullModel + Sync>(
+    mut engine: AnalysisEngine<M>,
+    request: &AnalysisRequest,
+) -> AnalysisReport {
+    engine.run(request).unwrap().into_reports().remove(0)
+}
+
+/// The physical views Procedure 2's profile pass can mine from.
+#[derive(Debug, Clone, Copy)]
+enum View {
+    Csr,
+    Bitmap,
+    Sharded,
+}
+
+/// Procedure 2 on `dataset` at `s_min = 6`, its floor profile mined by
+/// [`Procedure2::mine_profile`] over an explicit `view` under `threads`
+/// counting workers.
+fn procedure2_over(dataset: &TransactionDataset, view: View, threads: usize) -> Procedure2Result {
+    let lambda = MonteCarloLambda::new(6, vec![1.5, 0.7, 0.3, 0.1, 0.04, 0.01, 0.0]).unwrap();
+    let bitmap = matches!(view, View::Bitmap).then(|| BitmapDataset::from_dataset(dataset));
+    let sharded =
+        matches!(view, View::Sharded).then(|| ShardedBitmapDataset::from_dataset(dataset));
+    let profile = Procedure2::mine_profile(
+        MinerKind::Apriori,
+        dataset,
+        bitmap.as_ref(),
+        sharded.as_ref(),
+        None,
+        2,
+        6,
+        ExecutionPolicy::from_threads(threads),
+    )
+    .unwrap();
+    Procedure2::new(2)
+        .run_prepared(dataset.max_item_support(), &profile, 6, &lambda)
+        .unwrap()
 }
 
 fn estimate(backend: DatasetBackend, threads: usize, seed: u64) -> ThresholdEstimate {
@@ -65,31 +111,19 @@ fn backend_parity_threshold_estimates_at_1_2_and_8_threads() {
 #[test]
 fn backend_parity_procedure2_supports_and_family() {
     let dataset = planted_dataset(5);
-    let lambda =
-        sigfim_core::lambda::MonteCarloLambda::new(6, vec![1.5, 0.7, 0.3, 0.1, 0.04, 0.01, 0.0])
-            .unwrap();
-    let run = |backend: DatasetBackend| {
-        Procedure2 {
-            backend,
-            ..Procedure2::new(2)
-        }
-        .run(&dataset, 6, &lambda)
-        .unwrap()
-    };
-    let csr = run(DatasetBackend::Csr);
-    for backend in [
-        DatasetBackend::Bitmap,
-        DatasetBackend::Auto,
-        DatasetBackend::Sharded,
-    ] {
-        let other = run(backend);
-        assert_eq!(csr.s_star, other.s_star, "{backend}");
+    let csr = procedure2_over(&dataset, View::Csr, 1);
+    for view in [View::Bitmap, View::Sharded] {
+        let other = procedure2_over(&dataset, view, 1);
+        assert_eq!(csr.s_star, other.s_star, "{view:?}");
         assert_eq!(
             csr.tests, other.tests,
-            "Q_{{k,s}} traces must be identical ({backend})"
+            "Q_{{k,s}} traces must be identical ({view:?})"
         );
-        assert_eq!(csr.significant, other.significant, "{backend}");
+        assert_eq!(csr.significant, other.significant, "{view:?}");
     }
+    // The one-shot run resolves its own view (`Auto`) and agrees too.
+    let lambda = MonteCarloLambda::new(6, vec![1.5, 0.7, 0.3, 0.1, 0.04, 0.01, 0.0]).unwrap();
+    assert_eq!(Procedure2::new(2).run(&dataset, 6, &lambda).unwrap(), csr);
     assert!(csr.s_star.is_some(), "the planted pair must be detected");
 }
 
@@ -97,38 +131,31 @@ fn backend_parity_procedure2_supports_and_family() {
 fn backend_parity_procedure2_sharded_at_1_2_and_8_counting_workers() {
     // The sharded backend's counting pass fans out across workers; the trace
     // and family must be bit-identical at every worker count (fixed-order
-    // shard reduction over exact partial counts).
+    // shard reduction over exact partial counts), and so must the bitmap's.
     let dataset = planted_dataset(5);
-    let lambda =
-        sigfim_core::lambda::MonteCarloLambda::new(6, vec![1.5, 0.7, 0.3, 0.1, 0.04, 0.01, 0.0])
-            .unwrap();
-    let run = |threads: usize| {
-        Procedure2 {
-            backend: DatasetBackend::Sharded,
-            policy: ExecutionPolicy::from_threads(threads),
-            ..Procedure2::new(2)
-        }
-        .run(&dataset, 6, &lambda)
-        .unwrap()
-    };
-    let reference = run(1);
+    let reference = procedure2_over(&dataset, View::Sharded, 1);
     assert!(reference.s_star.is_some());
     for threads in THREAD_MATRIX {
-        assert_eq!(run(threads), reference, "{threads} counting worker(s)");
+        for view in [View::Csr, View::Bitmap, View::Sharded] {
+            assert_eq!(
+                procedure2_over(&dataset, view, threads),
+                reference,
+                "{view:?} at {threads} counting worker(s)"
+            );
+        }
     }
 }
 
 #[test]
 fn backend_parity_full_reports_at_1_2_and_8_threads() {
     let dataset = planted_dataset(23);
+    let request = AnalysisRequest::for_k(2).with_replicates(24).with_seed(13);
     let analyze = |backend: DatasetBackend, threads: usize| {
-        SignificanceAnalyzer::new(2)
-            .with_replicates(24)
-            .with_seed(13)
-            .with_threads(threads)
-            .with_backend(backend)
-            .analyze(&dataset)
+        let engine = AnalysisEngine::from_dataset(dataset.clone())
             .unwrap()
+            .with_threads(threads)
+            .with_backend(backend);
+        report_of(engine, &request)
     };
     let reference = analyze(DatasetBackend::Csr, 1);
     for threads in THREAD_MATRIX {
@@ -187,17 +214,18 @@ fn backend_parity_swap_null_model() {
 
 #[test]
 fn backend_parity_swap_null_full_reports() {
-    // End to end through the analyzer: the whole swap-null report (threshold,
+    // End to end through the engine: the whole swap-null report (threshold,
     // Procedure 2 trace, significant family) is backend-invariant.
     let dataset = planted_dataset(47);
+    let request = AnalysisRequest::for_k(2)
+        .with_replicates(12)
+        .with_seed(8)
+        .with_baseline(false);
     let analyze = |backend: DatasetBackend| {
-        SignificanceAnalyzer::new(2)
-            .with_replicates(12)
-            .with_seed(8)
-            .with_backend(backend)
-            .with_procedure1(false)
-            .analyze_with_swap_null(&dataset, 3.0)
+        let engine = AnalysisEngine::with_swap_null(dataset.clone(), 3.0)
             .unwrap()
+            .with_backend(backend);
+        report_of(engine, &request)
     };
     let csr = analyze(DatasetBackend::Csr);
     let bitmap = analyze(DatasetBackend::Bitmap);

@@ -1,17 +1,16 @@
-//! Shim-vs-engine parity contract.
+//! Engine parity contract.
 //!
-//! The `SignificanceAnalyzer` survives the engine redesign as a thin shim
-//! delegating to a single-request [`AnalysisEngine`]. These tests prove the
-//! redesign changed nothing observable:
+//! [`AnalysisEngine`] is the one way to run the whole pipeline, and its
+//! caches must change nothing observable. These tests prove it:
 //!
-//! * the shim's output is **bit-identical** to the pre-redesign pipeline,
-//!   reconstructed here from the unchanged building blocks (Algorithm 1 run
-//!   with a fresh seed-derived RNG, Procedure 2, Procedure 1) exactly as the
-//!   old `analyze_with_model` wired them;
+//! * the engine's output is **bit-identical** to a reference pipeline wired
+//!   by hand from the stage types (Algorithm 1 run with a fresh seed-derived
+//!   RNG, Procedure 2, Procedure 1);
 //! * a multi-`k` engine sweep equals `k`-by-`k` single requests;
 //! * a warm α/β re-query, whose Procedure 2 family and Procedure 1 baseline
 //!   come from the cached floor profile, serializes byte for byte like a
-//!   fresh engine's report; and
+//!   fresh engine's report, and so does a warm re-query that only switches
+//!   the miner; and
 //! * the `ThresholdCache` makes Algorithm 1's replicate loop run **at most
 //!   once per distinct key** — asserted both via the response's cache-hit
 //!   metadata and by counting actual null-model sampling calls.
@@ -26,7 +25,7 @@ use sigfim_core::montecarlo::FindPoissonThreshold;
 use sigfim_core::procedure1::{ItemFrequencies, Procedure1};
 use sigfim_core::procedure2::Procedure2;
 use sigfim_core::report::{AnalysisParameters, AnalysisReport};
-use sigfim_core::{DatasetBackend, SignificanceAnalyzer};
+use sigfim_core::DatasetBackend;
 use sigfim_datasets::bitmap::BitmapDataset;
 use sigfim_datasets::random::{
     BernoulliModel, NullModel, PlantedConfig, PlantedModel, PlantedPattern,
@@ -48,9 +47,8 @@ fn planted_dataset(seed: u64) -> TransactionDataset {
     model.sample(&mut StdRng::seed_from_u64(seed))
 }
 
-/// The pre-redesign `SignificanceAnalyzer::analyze_with_model` pipeline,
-/// reproduced verbatim from the unchanged stage types: this is the reference
-/// the shim (and therefore the engine) must match bit for bit.
+/// The whole pipeline wired by hand from the stage types, each computing
+/// from scratch: the reference the engine must match bit for bit.
 fn legacy_pipeline<M: NullModel + Sync>(
     dataset: &TransactionDataset,
     model: &M,
@@ -76,9 +74,6 @@ fn legacy_pipeline<M: NullModel + Sync>(
         k,
         alpha: 0.05,
         beta: 0.05,
-        miner: MinerKind::Apriori,
-        backend,
-        ..Procedure2::new(k)
     }
     .run(dataset, threshold.s_min, &lambda)
     .unwrap();
@@ -86,7 +81,6 @@ fn legacy_pipeline<M: NullModel + Sync>(
         Procedure1 {
             k,
             beta: 0.05,
-            miner: MinerKind::Apriori,
             ..Procedure1::new(k)
         }
         .run(dataset, threshold.s_min)
@@ -118,18 +112,6 @@ fn shim_and_engine_match_the_legacy_pipeline_bit_for_bit() {
         for baseline in [true, false] {
             let legacy = legacy_pipeline(&dataset, &model, 2, 20, 9, backend, baseline);
 
-            let shim = SignificanceAnalyzer::new(2)
-                .with_replicates(20)
-                .with_seed(9)
-                .with_backend(backend)
-                .with_procedure1(baseline)
-                .analyze(&dataset)
-                .unwrap();
-            assert_eq!(
-                shim, legacy,
-                "shim diverged from the pre-redesign pipeline (backend {backend}, baseline {baseline})"
-            );
-
             let mut engine = AnalysisEngine::from_dataset(dataset.clone())
                 .unwrap()
                 .with_backend(backend);
@@ -140,7 +122,7 @@ fn shim_and_engine_match_the_legacy_pipeline_bit_for_bit() {
             let response = engine.run(&request).unwrap();
             assert_eq!(
                 response.runs[0].report, legacy,
-                "engine diverged from the pre-redesign pipeline (backend {backend}, baseline {baseline})"
+                "engine diverged from the reference pipeline (backend {backend}, baseline {baseline})"
             );
         }
     }
@@ -166,13 +148,6 @@ fn multi_k_sweep_equals_single_requests() {
             sweep.runs[i].report, single.runs[0].report,
             "sweep entry for k = {k} diverged from the single-k request"
         );
-        // ... and from the one-shot shim.
-        let shim = SignificanceAnalyzer::new(k)
-            .with_replicates(16)
-            .with_seed(3)
-            .analyze(&dataset)
-            .unwrap();
-        assert_eq!(sweep.runs[i].report, shim);
     }
 }
 
@@ -220,7 +195,7 @@ fn par_eclat_engine_runs_are_bit_identical_to_sequential_eclat() {
             }
 
             // A warm rerun serves the floor profile from the engine's
-            // (k, s_min, miner) cache; the cached profile must reproduce the
+            // (k, s_min) cache; the cached profile must reproduce the
             // cold run bit for bit.
             let warm = engine.run(&request).unwrap();
             let profile_stats = engine.profile_cache_stats();
@@ -487,6 +462,62 @@ fn warm_alpha_beta_requeries_match_fresh_engines_byte_for_byte() {
         tested_itemsets > 0,
         "the baseline must have tested something"
     );
+}
+
+#[test]
+fn warm_miner_switch_reuses_the_profile_and_matches_fresh_engines() {
+    // Every miner yields the same floor profile, so the profile cache keys on
+    // (k, s_min) alone: a warm engine re-queried with only the miner switched
+    // serves every profile from the cache, and its reports equal a fresh
+    // engine's except for the recorded miner.
+    let dataset = planted_dataset(91);
+    let base = AnalysisRequest::for_k_range(2..=3)
+        .with_replicates(16)
+        .with_seed(4)
+        .with_baseline(true);
+    for backend in [
+        DatasetBackend::Csr,
+        DatasetBackend::Bitmap,
+        DatasetBackend::Sharded,
+    ] {
+        let engine_for = || {
+            AnalysisEngine::from_dataset(dataset.clone())
+                .unwrap()
+                .with_backend(backend)
+                .with_threads(2)
+        };
+        let mut warm = engine_for();
+        let first = warm
+            .run(&base.clone().with_miner(MinerKind::Apriori))
+            .unwrap();
+        let cold_stats = warm.profile_cache_stats();
+        assert_eq!(cold_stats.misses, 2, "one profile per k ({backend})");
+        for miner in [MinerKind::Eclat, MinerKind::ParEclat] {
+            let request = base.clone().with_miner(miner);
+            let response = warm.run(&request).unwrap();
+            let fresh = engine_for().run(&request).unwrap();
+            for ((warm_run, fresh_run), first_run) in
+                response.runs.iter().zip(&fresh.runs).zip(&first.runs)
+            {
+                assert_eq!(
+                    serde_json::to_string(&warm_run.report).unwrap(),
+                    serde_json::to_string(&fresh_run.report).unwrap(),
+                    "warm report diverged from a fresh engine's ({backend}, {miner:?}, k {})",
+                    warm_run.k
+                );
+                assert_eq!(warm_run.report.parameters.miner, miner);
+                let mut relabelled = first_run.report.clone();
+                relabelled.parameters.miner = miner;
+                assert_eq!(warm_run.report, relabelled, "({backend}, {miner:?})");
+            }
+        }
+        let stats = warm.profile_cache_stats();
+        assert_eq!(
+            stats.misses, cold_stats.misses,
+            "a miner switch must not mine again ({backend})"
+        );
+        assert_eq!(stats.hits, cold_stats.hits + 4, "({backend})");
+    }
 }
 
 #[test]

@@ -10,8 +10,9 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use sigfim_core::engine::{AnalysisEngine, AnalysisRequest};
 use sigfim_core::montecarlo::FindPoissonThreshold;
-use sigfim_core::{DatasetBackend, ExecutionPolicy, SignificanceAnalyzer, ThresholdEstimate};
+use sigfim_core::{DatasetBackend, ExecutionPolicy, ThresholdEstimate};
 use sigfim_datasets::random::{
     BernoulliModel, PlantedConfig, PlantedModel, PlantedPattern, SwapRandomizationModel,
 };
@@ -70,7 +71,7 @@ fn different_seeds_still_differ() {
 #[test]
 fn full_analysis_reports_match_across_policies() {
     // The whole pipeline (Algorithm 1 + Procedures 1 and 2) through the
-    // high-level analyzer: reports must agree field for field.
+    // engine: reports must agree field for field.
     let background = BernoulliModel::new(300, vec![0.05; 20]).unwrap();
     let model = PlantedModel::new(PlantedConfig {
         background,
@@ -80,27 +81,24 @@ fn full_analysis_reports_match_across_policies() {
     let mut rng = StdRng::seed_from_u64(9);
     let dataset = model.sample(&mut rng);
 
-    let analyze = |policy: ExecutionPolicy| {
-        SignificanceAnalyzer::new(2)
-            .with_replicates(32)
-            .with_seed(17)
-            .with_execution_policy(policy)
-            .analyze(&dataset)
+    let request = AnalysisRequest::for_k(2).with_replicates(32).with_seed(17);
+    let analyze =
+        |mut engine: AnalysisEngine| engine.run(&request).unwrap().into_reports().remove(0);
+    let with_policy = |policy: ExecutionPolicy| {
+        AnalysisEngine::from_dataset(dataset.clone())
             .unwrap()
+            .with_execution_policy(policy)
     };
-    let reference = analyze(ExecutionPolicy::Sequential);
+    let reference = analyze(with_policy(ExecutionPolicy::Sequential));
     for threads in [2, 8] {
-        let report = analyze(ExecutionPolicy::rayon(threads));
+        let report = analyze(with_policy(ExecutionPolicy::rayon(threads)));
         assert_eq!(report, reference, "analysis diverged at {threads} threads");
     }
     // with_threads(1) is the documented sequential shorthand.
-    let via_threads = SignificanceAnalyzer::new(2)
-        .with_replicates(32)
-        .with_seed(17)
-        .with_threads(1)
-        .analyze(&dataset)
-        .unwrap();
-    assert_eq!(via_threads, reference);
+    let via_threads = AnalysisEngine::from_dataset(dataset.clone())
+        .unwrap()
+        .with_threads(1);
+    assert_eq!(analyze(via_threads), reference);
 }
 
 #[test]

@@ -310,7 +310,7 @@ impl std::fmt::Debug for dyn DynNullModel + '_ {
 }
 
 /// A boxed dyn model is a [`NullModel`] again: erasure is transparent to every
-/// generic consumer (Algorithm 1, the analysis engine, the analyzer shim).
+/// generic consumer (Algorithm 1, the analysis engine).
 /// Fingerprints, samples and RNG consumption are those of the wrapped model,
 /// so results — and threshold-cache keys — are identical to the unerased path.
 impl<'a> NullModel for Box<dyn DynNullModel + 'a> {
@@ -370,8 +370,8 @@ impl<'a> NullModel for Box<dyn DynNullModel + 'a> {
 }
 
 /// Every shared reference to a null model is itself a null model: this is what
-/// lets borrowing callers (the `SignificanceAnalyzer` compatibility shim hands
-/// an `&M` to a freshly built engine) reuse an owned-model API without cloning.
+/// lets borrowing callers (`AnalysisEngine::with_model(dataset, &model)`)
+/// reuse an owned-model API without cloning.
 impl<M: NullModel> NullModel for &M {
     fn num_items(&self) -> usize {
         (**self).num_items()
@@ -740,7 +740,7 @@ mod tests {
         let shelf: Vec<BoxedNullModel> = vec![erased, swap];
         assert_ne!(shelf[0].fingerprint(), shelf[1].fingerprint());
 
-        // A borrowed model erases too (the analyzer shim's path): `&M` is a
+        // A borrowed model erases too: `&M` is a
         // NullModel, hence boxable without cloning the model.
         let borrowed: Box<dyn DynNullModel + '_> = Box::new(&concrete);
         assert_eq!(borrowed.fingerprint(), concrete.fingerprint());

@@ -40,7 +40,7 @@ use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 /// Where (and with how much parallelism) indexed task batches execute.
 ///
 /// The policy is threaded from the top of the pipeline
-/// (`SignificanceAnalyzer`) down to the replicate loop of Algorithm 1. Both
+/// (`AnalysisEngine::with_execution_policy`) down to the replicate loop of Algorithm 1. Both
 /// variants produce identical outputs for pure per-index tasks; `Rayon` merely
 /// produces them faster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

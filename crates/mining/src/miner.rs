@@ -74,7 +74,7 @@ pub(crate) fn validate_mining_args(k: usize, min_support: u64) -> Result<()> {
 }
 
 /// Enumeration of the available mining algorithms, for configuration surfaces
-/// (benchmarks, the high-level analyzer) that want to select one by name.
+/// (benchmarks, the analysis engine, the CLI) that want to select one by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum MinerKind {
     /// Level-wise Apriori with hybrid candidate counting (the default: its work is

@@ -249,8 +249,8 @@ impl EngineRegistry {
         id: impl Into<String>,
         dataset: TransactionDataset,
     ) -> Result<(), ApiError> {
-        let engine = AnalysisEngine::from_dataset_dyn(dataset).map_err(map_core_error)?;
-        self.register_engine(id, engine)
+        let engine = AnalysisEngine::from_dataset(dataset).map_err(map_core_error)?;
+        self.register_engine(id, engine.into_dyn())
     }
 
     /// Register a pre-built engine (any null model, any backend/policy
@@ -914,7 +914,9 @@ mod tests {
         // re-points it at the shared store.
         let registry = EngineRegistry::new();
         let dataset = sample_dataset(9);
-        let engine = AnalysisEngine::with_swap_null_dyn(dataset.clone(), 2.0).unwrap();
+        let engine = AnalysisEngine::with_swap_null(dataset.clone(), 2.0)
+            .unwrap()
+            .into_dyn();
         let expected_fingerprint = engine.fingerprint();
         registry.register_engine("swap", engine).unwrap();
         let info = &registry.engines()[0];

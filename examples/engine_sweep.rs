@@ -6,9 +6,8 @@
 //! ```
 //!
 //! The paper's experiments sweep the itemset size k against one fixed dataset
-//! (Tables 2–5 probe k = 2..4). The one-shot `SignificanceAnalyzer` re-derives
-//! everything per call; the `AnalysisEngine` is built once, owns the dataset
-//! views, and memoizes every Algorithm 1 run by
+//! (Tables 2–5 probe k = 2..4). The `AnalysisEngine` is built once, owns the
+//! dataset views, and memoizes every Algorithm 1 run by
 //! `(model fingerprint, k, epsilon, Delta, seed, backend)` — so re-running or
 //! widening a sweep costs only the lookups. This example runs the sweep cold,
 //! reruns it warm, then changes only the FDR budget and shows that even that

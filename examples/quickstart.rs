@@ -71,8 +71,8 @@ fn end_to_end_analysis() {
         dataset.avg_transaction_len()
     );
 
-    // The engine API: build once, query with typed requests. (For one-off
-    // calls the `SignificanceAnalyzer` shim delegates to exactly this.)
+    // The engine API, the one way to run the whole pipeline: build once,
+    // query with typed requests.
     let mut engine = AnalysisEngine::from_dataset(dataset).expect("non-empty dataset");
     let request = AnalysisRequest::for_k(2).with_replicates(64).with_seed(7);
     let response = engine.run(&request).expect("analysis succeeds");

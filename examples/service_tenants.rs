@@ -42,8 +42,9 @@ fn main() {
         .unwrap();
     // A swap-null engine registers alongside the Bernoulli ones: the registry
     // stores DynAnalysisEngine, so the model type never leaks.
-    let swap_engine: DynAnalysisEngine =
-        AnalysisEngine::with_swap_null_dyn(shared_dataset, 3.0).unwrap();
+    let swap_engine: DynAnalysisEngine = AnalysisEngine::with_swap_null(shared_dataset, 3.0)
+        .unwrap()
+        .into_dyn();
     registry
         .register_engine("tenant-swap", swap_engine)
         .unwrap();

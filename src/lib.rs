@@ -20,7 +20,7 @@
 //! | [`stats`] | special functions, Binomial/Poisson/Normal/Hypergeometric distributions, multiple-testing corrections |
 //! | [`datasets`] | transaction storage, FIMI I/O, the paper's random null model, planted/Quest/swap generators, Table-1 benchmark stand-ins |
 //! | [`mining`] | Apriori, Eclat, FP-Growth, closed itemsets, support counting |
-//! | [`core`] | Chen–Stein bounds, Algorithm 1 (FindPoissonThreshold), Procedures 1 and 2, the session-oriented [`AnalysisEngine`] and the one-shot [`SignificanceAnalyzer`] |
+//! | [`core`] | Chen–Stein bounds, Algorithm 1 (FindPoissonThreshold), Procedures 1 and 2, the session-oriented [`AnalysisEngine`] |
 //! | [`service`] | the multi-tenant HTTP/JSON front-end: engine registry, versioned wire protocol, shared threshold store (`sigfim serve`) |
 //!
 //! ## Quickstart
@@ -41,11 +41,10 @@
 //! let dataset = model.sample(&mut rng);
 //!
 //! // Ask: which pairs (k = 2) are statistically significant at FDR <= 5%?
-//! let report = SignificanceAnalyzer::new(2)
-//!     .with_replicates(40)
-//!     .with_seed(11)
-//!     .analyze(&dataset)
-//!     .unwrap();
+//! let mut engine = AnalysisEngine::from_dataset(dataset).unwrap();
+//! let request = AnalysisRequest::for_k(2).with_replicates(40).with_seed(11);
+//! let response = engine.run(&request).unwrap();
+//! let report = response.report_for(2).unwrap();
 //!
 //! assert!(report.procedure2.s_star.is_some());
 //! assert!(report.procedure2.significant.iter().any(|i| i.items == vec![5, 9]));
@@ -57,11 +56,10 @@ pub use sigfim_mining as mining;
 pub use sigfim_service as service;
 pub use sigfim_stats as stats;
 
-pub use sigfim_core::{AnalysisEngine, AnalysisReport, AnalysisRequest, SignificanceAnalyzer};
+pub use sigfim_core::{AnalysisEngine, AnalysisReport, AnalysisRequest};
 
 /// The most common imports, bundled for `use sigfim::prelude::*`.
 pub mod prelude {
-    pub use sigfim_core::analyzer::SignificanceAnalyzer;
     pub use sigfim_core::engine::{
         AnalysisEngine, AnalysisRequest, AnalysisResponse, AnalysisStage, CacheStatus,
         DynAnalysisEngine, LambdaMode, ProgressObserver, ThresholdStore,
@@ -92,7 +90,7 @@ mod tests {
         let _ = crate::prelude::MinerKind::Apriori;
         let _ = crate::stats::Poisson::new(1.0).unwrap();
         let _ = crate::datasets::transaction::TransactionDataset::empty(3);
-        let analyzer = crate::SignificanceAnalyzer::new(2);
-        let _ = analyzer.parameters();
+        let request = crate::AnalysisRequest::for_k(2);
+        assert!(request.validate().is_ok());
     }
 }

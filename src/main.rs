@@ -134,7 +134,7 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     --k accepts a single itemset size, a comma list (2,3,4), or an inclusive\n\
     range (2..5 == 2..=5) that runs as one cached multi-k batch.\n\
     --seed defaults to the library default 0x51F1D009, so the CLI, the engine\n\
-    API and the SignificanceAnalyzer all reproduce each other bit for bit.\n\
+    API and the service all reproduce each other bit for bit.\n\
     --miner auto picks the subtree-parallel Eclat on dense (bitmap/sharded)\n\
     datasets when more than one worker thread is available and the startup\n\
     tuner measured it as a win, the sequential miners otherwise; every miner\n\
@@ -494,8 +494,10 @@ fn serve_main(options: &ServeOptions) -> Result<(), String> {
         let dataset = labeled.dataset;
         let summary = DatasetSummary::from_dataset(&dataset);
         let engine: DynAnalysisEngine = match options.swap_null {
-            Some(swaps) => AnalysisEngine::with_swap_null_dyn(dataset, swaps),
-            None => AnalysisEngine::from_dataset_dyn(dataset),
+            Some(swaps) => {
+                AnalysisEngine::with_swap_null(dataset, swaps).map(AnalysisEngine::into_dyn)
+            }
+            None => AnalysisEngine::from_dataset(dataset).map(AnalysisEngine::into_dyn),
         }
         .map_err(|error| format!("cannot build an engine for `{id}`: {error}"))?
         .with_backend(options.backend)
@@ -600,10 +602,12 @@ fn main() -> ExitCode {
             .map_err(|e| format!("analysis failed: {e}"))
     };
     let response = match options.swap_null {
-        Some(swaps) => AnalysisEngine::with_swap_null_dyn(dataset.clone(), swaps)
+        Some(swaps) => AnalysisEngine::with_swap_null(dataset.clone(), swaps)
+            .map(AnalysisEngine::into_dyn)
             .map_err(|e| format!("cannot build the swap-randomization null model: {e}"))
             .and_then(configure),
-        None => AnalysisEngine::from_dataset_dyn(dataset.clone())
+        None => AnalysisEngine::from_dataset(dataset.clone())
+            .map(AnalysisEngine::into_dyn)
             .map_err(|e| format!("analysis failed: {e}"))
             .and_then(configure),
     };

@@ -8,6 +8,15 @@ use rand::SeedableRng;
 use sigfim::core::validation::poisson_fit;
 use sigfim::prelude::*;
 
+/// The one report of a single-`k` request on a fresh engine over `dataset`.
+fn analyze(dataset: TransactionDataset, request: &AnalysisRequest) -> AnalysisReport {
+    AnalysisEngine::from_dataset(dataset)
+        .and_then(|mut engine| engine.run(request))
+        .expect("analysis succeeds")
+        .into_reports()
+        .remove(0)
+}
+
 #[test]
 fn procedure2_rarely_fires_on_pure_noise() {
     // The false-alarm probability of the procedure hinges on how well the Poisson
@@ -20,12 +29,11 @@ fn procedure2_rarely_fires_on_pure_noise() {
     for instance in 0..instances {
         let mut rng = StdRng::seed_from_u64(9_000 + instance);
         let dataset = model.sample(&mut rng);
-        let report = SignificanceAnalyzer::new(2)
+        let request = AnalysisRequest::for_k(2)
             .with_replicates(200)
             .with_seed(instance)
-            .with_procedure1(false)
-            .analyze(&dataset)
-            .expect("analysis succeeds");
+            .with_baseline(false);
+        let report = analyze(dataset, &request);
         if report.procedure2.s_star.is_some() {
             finite += 1;
             // Even a false alarm must only report a handful of itemsets (the paper
@@ -54,13 +62,12 @@ fn conservative_lambda_eliminates_small_delta_false_alarms() {
     for instance in 0..instances {
         let mut rng = StdRng::seed_from_u64(9_000 + instance);
         let dataset = model.sample(&mut rng);
-        let report = SignificanceAnalyzer::new(2)
+        let request = AnalysisRequest::for_k(2)
             .with_replicates(32)
             .with_seed(instance)
-            .with_procedure1(false)
-            .with_conservative_lambda(true)
-            .analyze(&dataset)
-            .expect("analysis succeeds");
+            .with_baseline(false)
+            .with_lambda_mode(LambdaMode::Conservative);
+        let report = analyze(dataset, &request);
         if report.procedure2.s_star.is_some() {
             finite += 1;
         }

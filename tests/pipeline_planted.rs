@@ -11,6 +11,15 @@ use rand::SeedableRng;
 use sigfim::core::validation::{empirical_fdr, empirical_power};
 use sigfim::prelude::*;
 
+/// The one report of a single-`k` request on a fresh engine over `dataset`.
+fn analyze(dataset: &TransactionDataset, request: &AnalysisRequest) -> AnalysisReport {
+    AnalysisEngine::from_dataset(dataset.clone())
+        .and_then(|mut engine| engine.run(request))
+        .expect("analysis succeeds")
+        .into_reports()
+        .remove(0)
+}
+
 fn planted_model() -> PlantedModel {
     let background = BernoulliModel::new(1_200, vec![0.03; 40]).unwrap();
     PlantedModel::new(PlantedConfig {
@@ -35,11 +44,10 @@ fn planted_pairs_are_recovered_with_controlled_fdr() {
     for run in 0..runs {
         let mut rng = StdRng::seed_from_u64(500 + run);
         let dataset = model.sample(&mut rng);
-        let report = SignificanceAnalyzer::new(2)
-            .with_replicates(40)
-            .with_seed(run)
-            .analyze(&dataset)
-            .expect("analysis succeeds");
+        let report = analyze(
+            &dataset,
+            &AnalysisRequest::for_k(2).with_replicates(40).with_seed(run),
+        );
 
         assert!(
             report.procedure2.s_star.is_some(),
@@ -81,11 +89,10 @@ fn planted_triple_is_recovered_at_k_3() {
     let model = planted_model();
     let mut rng = StdRng::seed_from_u64(321);
     let dataset = model.sample(&mut rng);
-    let report = SignificanceAnalyzer::new(3)
-        .with_replicates(40)
-        .with_seed(11)
-        .analyze(&dataset)
-        .expect("analysis succeeds");
+    let report = analyze(
+        &dataset,
+        &AnalysisRequest::for_k(3).with_replicates(40).with_seed(11),
+    );
     let s_star = report
         .procedure2
         .s_star
@@ -109,11 +116,10 @@ fn procedure2_is_at_least_as_powerful_as_procedure1() {
     let model = planted_model();
     let mut rng = StdRng::seed_from_u64(888);
     let dataset = model.sample(&mut rng);
-    let report = SignificanceAnalyzer::new(2)
-        .with_replicates(40)
-        .with_seed(2)
-        .analyze(&dataset)
-        .expect("analysis succeeds");
+    let report = analyze(
+        &dataset,
+        &AnalysisRequest::for_k(2).with_replicates(40).with_seed(2),
+    );
     let (r_size, ratio) = report.table5_row().expect("baseline enabled");
     assert!(report.procedure2.s_star.is_some());
     assert!(
@@ -131,11 +137,10 @@ fn report_display_renders_the_analysis() {
     let model = planted_model();
     let mut rng = StdRng::seed_from_u64(4242);
     let dataset = model.sample(&mut rng);
-    let report = SignificanceAnalyzer::new(2)
-        .with_replicates(24)
-        .with_seed(3)
-        .analyze(&dataset)
-        .expect("analysis succeeds");
+    let report = analyze(
+        &dataset,
+        &AnalysisRequest::for_k(2).with_replicates(24).with_seed(3),
+    );
     let rendered = report.to_string();
     assert!(rendered.contains("Poisson threshold"));
     assert!(rendered.contains("Procedure 2"));
@@ -149,11 +154,9 @@ fn deterministic_given_seed_across_the_whole_pipeline() {
     let model = planted_model();
     let mut rng = StdRng::seed_from_u64(77);
     let dataset = model.sample(&mut rng);
-    let analyzer = SignificanceAnalyzer::new(2)
-        .with_replicates(24)
-        .with_seed(123);
-    let a = analyzer.analyze(&dataset).unwrap();
-    let b = analyzer.analyze(&dataset).unwrap();
+    let request = AnalysisRequest::for_k(2).with_replicates(24).with_seed(123);
+    let a = analyze(&dataset, &request);
+    let b = analyze(&dataset, &request);
     assert_eq!(
         a, b,
         "the full report must be reproducible for a fixed seed"
