@@ -189,9 +189,6 @@ fn bench_apriori_level_counting(c: &mut Criterion) {
 /// * `scalar` ≈ 72 µs per batch — rustc's baseline x86-64 target has no
 ///   POPCNT instruction, but LLVM autovectorizes the rolled SWAR loop fairly
 ///   well already;
-/// * `unrolled` ≈ parity with scalar (73 µs; the autovectorizer was already
-///   extracting the ILP the manual unroll provides) — kept as the portable
-///   `auto` fallback for targets where it is not;
 /// * `avx2` ≈ 28 µs (**~2.5× over scalar**) — 256-bit `VPAND` + `PSHUFB`
 ///   nibble lookup + `VPSADBW`, four words per instruction;
 /// * `avx512` ≈ 15.8 µs (**~4.5× over scalar, ~1.8× over avx2**) — 512-bit
@@ -199,7 +196,7 @@ fn bench_apriori_level_counting(c: &mut Criterion) {
 ///   per instruction with no nibble-table emulation.
 ///
 /// The gap widens on the pure-popcount op (`popcount_slice` over the 7 500
-/// word matrix): scalar ≈ 5.0 µs, unrolled ≈ 5.2 µs, avx2 ≈ 1.6 µs (~3.2×),
+/// word matrix): scalar ≈ 5.0 µs, avx2 ≈ 1.6 µs (~3.2×),
 /// avx512 ≈ 0.79 µs (**~6.3× over scalar**).
 fn bench_kernel_dispatch(c: &mut Criterion) {
     let dataset = dataset_at_density(0.25);
@@ -209,12 +206,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     let all_words: Vec<u64> = (0..ITEMS as ItemId)
         .flat_map(|i| bitmap.column(i).to_vec())
         .collect();
-    for mode in [
-        KernelMode::Scalar,
-        KernelMode::Unrolled,
-        KernelMode::Avx2,
-        KernelMode::Avx512,
-    ] {
+    for mode in [KernelMode::Scalar, KernelMode::Avx2, KernelMode::Avx512] {
         if !mode.is_supported() {
             continue;
         }

@@ -142,12 +142,7 @@ fn main() {
     let mut entries: Vec<(String, u64)> = Vec::new();
 
     // Kernel dispatch: the candidate-batch AND + popcount loop per mode.
-    for mode in [
-        KernelMode::Scalar,
-        KernelMode::Unrolled,
-        KernelMode::Avx2,
-        KernelMode::Avx512,
-    ] {
+    for mode in [KernelMode::Scalar, KernelMode::Avx2, KernelMode::Avx512] {
         if !mode.is_supported() {
             continue;
         }

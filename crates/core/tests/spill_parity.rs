@@ -107,9 +107,9 @@ fn spilled_engine_reports_match_resident_bit_for_bit() {
     }
 }
 
-/// A dataset whose bit matrix (2 MiB) exceeds the largest shard budget the
-/// startup tuner picks (1 MiB), so its sharded view has at least two shards
-/// on any machine: every transaction holds two items on fixed strides, so
+/// A dataset whose bit matrix (2 MiB) is eight times the default shard
+/// budget (`SHARD_L2_BUDGET_BYTES`, 256 KiB), so its sharded view has eight
+/// shards: every transaction holds two items on fixed strides, so
 /// every pair recurs and the k = 2 profile is non-trivial.
 fn multi_shard_dataset() -> TransactionDataset {
     const NUM_ITEMS: u32 = 64;
@@ -213,7 +213,7 @@ fn spilled_analysis_peak_rss_is_bounded_by_the_residency_budget() {
     const NUM_TRANSACTIONS: usize = 1 << 20;
     const BUDGET: u64 = 1 << 20; // 1 MiB resident shard payload
     /// Constant overhead allowance on top of the budget: one pinned shard
-    /// (≤ 1 MiB at the largest tuned width), the per-shard partial-count
+    /// (256 KiB at the default width), the per-shard partial-count
     /// vectors, the floor profile, and allocator slack.
     const SLACK: u64 = 4 << 20;
 

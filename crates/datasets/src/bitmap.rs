@@ -487,8 +487,8 @@ impl BitmapDataset {
 }
 
 /// Popcount of `a AND b` without materializing the intersection. Dispatches
-/// through the process-wide [`crate::kernels::Kernels`] (scalar, unrolled or
-/// AVX2 — identical results, see the module docs there).
+/// through the process-wide [`crate::kernels::Kernels`] (scalar, AVX2 or
+/// AVX-512 — identical results, see the module docs there).
 #[inline]
 pub fn and_count(a: &[u64], b: &[u64]) -> u64 {
     kernels().and_count(a, b)

@@ -2,14 +2,12 @@
 //!
 //! Every hot popcount/AND loop of the bitmap backend — `and_count`,
 //! `and_count_into`, `and_into` and whole-slice popcounts — funnels through a
-//! [`Kernels`] vtable selected **once** per process. Four implementations are
+//! [`Kernels`] vtable selected **once** per process. Three implementations are
 //! provided:
 //!
-//! * `scalar` — the straightforward `u64::count_ones` loop (the pre-kernel
-//!   behaviour, and the portable baseline the others are tested against),
-//! * `unrolled` — a portable 4×-unrolled variant with independent
-//!   accumulators, giving the compiler the instruction-level parallelism the
-//!   rolled loop hides,
+//! * `scalar` — the straightforward `u64::count_ones` loop (the portable
+//!   fallback, which LLVM autovectorizes, and the baseline the others are
+//!   tested against),
 //! * `avx2` — 256-bit `VPAND` plus the classic `PSHUFB` nibble-lookup
 //!   popcount (accumulated with `VPSADBW`), processing four words per
 //!   instruction; compiled with `#[target_feature(enable = "avx2")]` and only
@@ -24,28 +22,24 @@
 //! All kernels compute **exact integer popcounts**, so every dispatch choice
 //! returns bit-identical results — the backend-parity and engine-parity suites
 //! run under forced `scalar` and `auto` dispatch in CI to enforce exactly
-//! that. Selection is automatic (`auto` consults the one-shot startup
-//! micro-benchmark in [`crate::tune`]; with tuning off it statically prefers
-//! AVX-512, then AVX2, then the unrolled portable variant) and can be
-//! overridden for testing and benchmarking with the `SIGFIM_KERNELS`
-//! environment variable (`scalar`, `unrolled`, `avx2`, `avx512` or `auto`),
-//! read once at first use. Front-ends should validate overrides at startup
-//! with [`configure_kernels`] instead of letting the first dispatch panic
-//! deep inside a mining call.
+//! that. Selection is automatic (`auto` is a static rule: the widest kernel
+//! the CPU supports, AVX-512, then AVX2, then scalar) and can be overridden
+//! for testing and benchmarking with the `SIGFIM_KERNELS` environment
+//! variable (`scalar`, `avx2`, `avx512` or `auto`), read once at first use.
+//! Front-ends should validate overrides at startup with [`configure_kernels`]
+//! instead of letting the first dispatch panic deep inside a mining call.
 
 use std::sync::OnceLock;
 
 /// Which kernel implementation to dispatch to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
-    /// Detect at runtime: AVX2 where available, the unrolled portable variant
-    /// otherwise.
+    /// Detect at runtime: the widest kernel the CPU supports (AVX-512, then
+    /// AVX2, then scalar).
     #[default]
     Auto,
     /// The plain one-word-at-a-time loop.
     Scalar,
-    /// The portable 4×-unrolled loop.
-    Unrolled,
     /// The AVX2 wide-AND + `PSHUFB`-lookup popcount kernel. Only selectable on
     /// x86-64 CPUs that report AVX2 support.
     Avx2,
@@ -57,10 +51,9 @@ pub enum KernelMode {
 
 impl KernelMode {
     /// Every mode, for configuration surfaces and test matrices.
-    pub const ALL: [KernelMode; 5] = [
+    pub const ALL: [KernelMode; 4] = [
         KernelMode::Auto,
         KernelMode::Scalar,
-        KernelMode::Unrolled,
         KernelMode::Avx2,
         KernelMode::Avx512,
     ];
@@ -70,14 +63,13 @@ impl KernelMode {
         match self {
             KernelMode::Auto => "auto",
             KernelMode::Scalar => "scalar",
-            KernelMode::Unrolled => "unrolled",
             KernelMode::Avx2 => "avx2",
             KernelMode::Avx512 => "avx512",
         }
     }
 
-    /// Whether this mode can run on the current CPU. `Auto`, `Scalar` and
-    /// `Unrolled` always can; `Avx2` requires runtime AVX2 detection to
+    /// Whether this mode can run on the current CPU. `Auto` and `Scalar`
+    /// always can; `Avx2` requires runtime AVX2 detection to
     /// succeed and `Avx512` requires `avx512f` + `avx512vpopcntdq`.
     pub fn is_supported(&self) -> bool {
         match self {
@@ -104,11 +96,10 @@ impl std::str::FromStr for KernelMode {
         match s {
             "auto" => Ok(KernelMode::Auto),
             "scalar" => Ok(KernelMode::Scalar),
-            "unrolled" => Ok(KernelMode::Unrolled),
             "avx2" => Ok(KernelMode::Avx2),
             "avx512" => Ok(KernelMode::Avx512),
             other => Err(format!(
-                "unknown kernel mode `{other}` (expected auto, scalar, unrolled, avx2 or avx512)"
+                "unknown kernel mode `{other}` (expected auto, scalar, avx2 or avx512)"
             )),
         }
     }
@@ -141,17 +132,16 @@ fn avx512_supported() -> bool {
     false
 }
 
-/// The static `auto` preference order, used when the startup tuner is
-/// disabled (`SIGFIM_TUNE=off`) and by [`kernels_for`]'s `Auto` arm: the
-/// widest kernel the CPU supports wins (AVX-512 over AVX2 over the portable
-/// unrolled loop).
+/// The one `auto` rule, shared by [`kernels_for`] and the process-wide
+/// [`kernels`] dispatch: the widest kernel the CPU supports wins (AVX-512 over
+/// AVX2 over scalar).
 pub(crate) fn static_auto_mode() -> KernelMode {
     if avx512_supported() {
         KernelMode::Avx512
     } else if avx2_supported() {
         KernelMode::Avx2
     } else {
-        KernelMode::Unrolled
+        KernelMode::Scalar
     }
 }
 
@@ -175,8 +165,7 @@ impl std::fmt::Debug for Kernels {
 }
 
 impl Kernels {
-    /// The implementation name (`"scalar"`, `"unrolled"`, `"avx2"` or
-    /// `"avx512"`).
+    /// The implementation name (`"scalar"`, `"avx2"` or `"avx512"`).
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -230,14 +219,6 @@ static SCALAR: Kernels = Kernels {
     popcount_slice: scalar::popcount_slice,
 };
 
-static UNROLLED: Kernels = Kernels {
-    name: "unrolled",
-    and_count: unrolled::and_count,
-    and_count_into: unrolled::and_count_into,
-    and_into: unrolled::and_into,
-    popcount_slice: unrolled::popcount_slice,
-};
-
 #[cfg(target_arch = "x86_64")]
 static AVX2: Kernels = Kernels {
     name: "avx2",
@@ -256,9 +237,8 @@ static AVX512: Kernels = Kernels {
     popcount_slice: avx512::popcount_slice,
 };
 
-/// The kernels implementing `mode`. `Auto` resolves by the **static**
-/// preference order (best supported SIMD tier); the process-wide [`kernels`]
-/// dispatch additionally consults the startup tuner.
+/// The kernels implementing `mode`. `Auto` resolves to the widest kernel the
+/// CPU supports, the same rule the process-wide [`kernels`] dispatch uses.
 ///
 /// # Panics
 ///
@@ -269,7 +249,6 @@ static AVX512: Kernels = Kernels {
 pub fn kernels_for(mode: KernelMode) -> &'static Kernels {
     match mode {
         KernelMode::Scalar => &SCALAR,
-        KernelMode::Unrolled => &UNROLLED,
         KernelMode::Avx2 => {
             assert!(
                 mode.is_supported(),
@@ -305,12 +284,10 @@ static MODE_OVERRIDE: OnceLock<KernelMode> = OnceLock::new();
 static DISPATCH: OnceLock<&'static Kernels> = OnceLock::new();
 
 /// The process-wide dispatched kernels: the [`configure_kernels`] override if
-/// installed, otherwise `SIGFIM_KERNELS` if set (one of `scalar`, `unrolled`,
-/// `avx2`, `avx512`, `auto`), otherwise automatic detection. `auto` consults
-/// the one-shot startup micro-benchmark ([`crate::tune`]) to pick among the
-/// supported kernels; with `SIGFIM_TUNE=off` it falls back to the static
-/// preference order. The environment variable is read once, at the first
-/// call.
+/// installed, otherwise `SIGFIM_KERNELS` if set (one of `scalar`, `avx2`,
+/// `avx512`, `auto`), otherwise `auto`, which [`kernels_for`] resolves to the
+/// widest kernel the CPU supports. The environment variable is read once, at
+/// the first call.
 ///
 /// # Panics
 ///
@@ -330,17 +307,8 @@ pub fn kernels() -> &'static Kernels {
                 Err(_) => KernelMode::Auto,
             },
         };
-        resolve_dispatch(mode)
+        kernels_for(mode)
     })
-}
-
-/// Resolve a requested mode to concrete kernels, letting `Auto` consult the
-/// startup tuner.
-fn resolve_dispatch(mode: KernelMode) -> &'static Kernels {
-    match mode {
-        KernelMode::Auto => kernels_for(crate::tune::tuned_kernel_mode()),
-        concrete => kernels_for(concrete),
-    }
 }
 
 /// Comma-separated names of every mode this CPU can actually run — the list
@@ -409,7 +377,7 @@ pub fn install_kernel_mode(mode: KernelMode) -> Result<&'static Kernels, String>
         ));
     }
     let resolved = kernels();
-    let expected = resolve_dispatch(mode);
+    let expected = kernels_for(mode);
     if !std::ptr::eq(resolved, expected) {
         return Err(format!(
             "kernel dispatch already resolved to `{}` before configuration; \
@@ -458,79 +426,6 @@ mod scalar {
 
     pub(super) fn popcount_slice(words: &[u64]) -> u64 {
         words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-}
-
-mod unrolled {
-    // Four independent accumulators per iteration: the rolled scalar loop
-    // serializes on one accumulator, which hides the CPU's ability to retire
-    // several popcounts per cycle. The non-multiple-of-4 tail falls back to
-    // the scalar step.
-
-    pub(super) fn and_count(a: &[u64], b: &[u64]) -> u64 {
-        let mut acc = [0u64; 4];
-        let (a4, a_tail) = a.split_at(a.len() - a.len() % 4);
-        let (b4, b_tail) = b.split_at(a4.len());
-        for (x, y) in a4.chunks_exact(4).zip(b4.chunks_exact(4)) {
-            acc[0] += (x[0] & y[0]).count_ones() as u64;
-            acc[1] += (x[1] & y[1]).count_ones() as u64;
-            acc[2] += (x[2] & y[2]).count_ones() as u64;
-            acc[3] += (x[3] & y[3]).count_ones() as u64;
-        }
-        acc.iter().sum::<u64>() + super::scalar::and_count(a_tail, b_tail)
-    }
-
-    pub(super) fn and_count_into(dst: &mut [u64], src: &[u64]) -> u64 {
-        let mut acc = [0u64; 4];
-        let split = dst.len() - dst.len() % 4;
-        let (d4, d_tail) = dst.split_at_mut(split);
-        let (s4, s_tail) = src.split_at(split);
-        for (d, s) in d4.chunks_exact_mut(4).zip(s4.chunks_exact(4)) {
-            d[0] &= s[0];
-            d[1] &= s[1];
-            d[2] &= s[2];
-            d[3] &= s[3];
-            acc[0] += d[0].count_ones() as u64;
-            acc[1] += d[1].count_ones() as u64;
-            acc[2] += d[2].count_ones() as u64;
-            acc[3] += d[3].count_ones() as u64;
-        }
-        acc.iter().sum::<u64>() + super::scalar::and_count_into(d_tail, s_tail)
-    }
-
-    pub(super) fn and_into(dst: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
-        let mut acc = [0u64; 4];
-        let split = dst.len() - dst.len() % 4;
-        let (d4, d_tail) = dst.split_at_mut(split);
-        let (a4, a_tail) = a.split_at(split);
-        let (b4, b_tail) = b.split_at(split);
-        for ((d, x), y) in d4
-            .chunks_exact_mut(4)
-            .zip(a4.chunks_exact(4))
-            .zip(b4.chunks_exact(4))
-        {
-            d[0] = x[0] & y[0];
-            d[1] = x[1] & y[1];
-            d[2] = x[2] & y[2];
-            d[3] = x[3] & y[3];
-            acc[0] += d[0].count_ones() as u64;
-            acc[1] += d[1].count_ones() as u64;
-            acc[2] += d[2].count_ones() as u64;
-            acc[3] += d[3].count_ones() as u64;
-        }
-        acc.iter().sum::<u64>() + super::scalar::and_into(d_tail, a_tail, b_tail)
-    }
-
-    pub(super) fn popcount_slice(words: &[u64]) -> u64 {
-        let mut acc = [0u64; 4];
-        let (w4, tail) = words.split_at(words.len() - words.len() % 4);
-        for w in w4.chunks_exact(4) {
-            acc[0] += w[0].count_ones() as u64;
-            acc[1] += w[1].count_ones() as u64;
-            acc[2] += w[2].count_ones() as u64;
-            acc[3] += w[3].count_ones() as u64;
-        }
-        acc.iter().sum::<u64>() + super::scalar::popcount_slice(tail)
     }
 }
 
@@ -822,8 +717,8 @@ mod tests {
 
     #[test]
     fn all_supported_kernels_agree_on_every_operation() {
-        // Lengths cover empty, single, the 4-word unroll boundary and odd
-        // tails beyond the 256-bit vector width.
+        // Lengths cover empty, single, the 4-word AVX2 and 8-word AVX-512
+        // vector boundaries and odd tails beyond them.
         for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 64, 127] {
             let a = pattern(len, 11);
             let b = pattern(len, 97);
@@ -853,24 +748,29 @@ mod tests {
             assert_eq!(mode.to_string(), mode.name());
         }
         assert!("sse9".parse::<KernelMode>().is_err());
+        assert!("unrolled".parse::<KernelMode>().is_err());
         assert_eq!(KernelMode::default(), KernelMode::Auto);
         assert!(KernelMode::Scalar.is_supported());
-        assert!(KernelMode::Unrolled.is_supported());
         assert!(KernelMode::supported().contains(&KernelMode::Auto));
         // The supported-list helper names every runnable mode.
         let names = supported_mode_names();
-        assert!(names.contains("scalar") && names.contains("unrolled"));
+        assert!(names.contains("scalar") && names.contains("auto"));
     }
 
     #[test]
     fn dispatch_resolves_to_a_named_kernel() {
         let dispatched = kernels();
-        assert!(["scalar", "unrolled", "avx2", "avx512"].contains(&dispatched.name()));
-        // Auto resolves to a concrete implementation, never a fifth name.
+        assert!(["scalar", "avx2", "avx512"].contains(&dispatched.name()));
+        // Auto resolves to a concrete implementation, never a fourth name.
         let auto = kernels_for(KernelMode::Auto);
-        assert!(["unrolled", "avx2", "avx512"].contains(&auto.name()));
+        assert_eq!(auto.name(), static_auto_mode().name());
         assert_eq!(kernels_for(KernelMode::Scalar).name(), "scalar");
         assert!(format!("{auto:?}").contains(auto.name()));
+        // With no override installed, process dispatch and `kernels_for(Auto)`
+        // are one rule: nothing measured at startup can make them disagree.
+        if std::env::var_os("SIGFIM_KERNELS").is_none() && MODE_OVERRIDE.get().is_none() {
+            assert_eq!(dispatched.name(), auto.name());
+        }
     }
 
     #[test]
@@ -881,8 +781,8 @@ mod tests {
             KernelMode::Scalar
         );
         assert_eq!(
-            resolve_kernel_request(None, Some("unrolled")).unwrap(),
-            KernelMode::Unrolled
+            resolve_kernel_request(None, Some("scalar")).unwrap(),
+            KernelMode::Scalar
         );
         assert_eq!(
             resolve_kernel_request(None, None).unwrap(),
@@ -893,10 +793,9 @@ mod tests {
             resolve_kernel_request(Some(KernelMode::Auto), Some("auto")).unwrap(),
             KernelMode::Auto
         );
-        let conflict =
-            resolve_kernel_request(Some(KernelMode::Scalar), Some("unrolled")).unwrap_err();
+        let conflict = resolve_kernel_request(Some(KernelMode::Scalar), Some("auto")).unwrap_err();
         assert!(conflict.contains("--kernels scalar"), "{conflict}");
-        assert!(conflict.contains("SIGFIM_KERNELS=unrolled"), "{conflict}");
+        assert!(conflict.contains("SIGFIM_KERNELS=auto"), "{conflict}");
         // Unknown env values surface the supported-mode list at startup
         // instead of panicking at first dispatch.
         let unknown = resolve_kernel_request(None, Some("sse9")).unwrap_err();

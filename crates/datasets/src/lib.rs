@@ -14,13 +14,12 @@
 //!   per item, word-parallel AND + popcount support counting, and a reusable
 //!   buffer for the zero-allocation Monte-Carlo replicate loop. The
 //!   [`bitmap::DatasetBackend`] heuristic decides when it beats CSR.
-//! * [`mod@kernels`] — the runtime-dispatched counting kernels (scalar / unrolled /
-//!   AVX2 / AVX-512 `VPOPCNTDQ` popcount + wide AND) every dense counting loop
+//! * [`mod@kernels`] — the runtime-dispatched counting kernels (scalar / AVX2 /
+//!   AVX-512 `VPOPCNTDQ` popcount + wide AND) every dense counting loop
 //!   funnels through, with a `SIGFIM_KERNELS` override for testing and
 //!   benchmarking and startup validation for front-ends.
-//! * [`mod@tune`] — the one-shot startup micro-benchmark that picks the `auto`
-//!   kernel, the default shard width, and the preferred replicate sampler per
-//!   machine (`SIGFIM_TUNE=off|auto`).
+//! * [`mod@tune`] — the process's static configuration picks (the kernel
+//!   `auto` resolves to, the sampler `auto` prefers), as one reportable value.
 //! * [`mod@sampler`] — the replicate sampling strategy selector
 //!   (`SIGFIM_SAMPLER=cellwise|gaps|auto`): the legacy cellwise sampler vs.
 //!   the geometric-jump sparse sampler with fused k = 1 counting.

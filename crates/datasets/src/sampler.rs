@@ -17,9 +17,9 @@
 //!   Its RNG stream differs from `cellwise`, so estimates differ numerically
 //!   (both are exact draws from the same model) — selecting it is an explicit
 //!   opt-in.
-//! * `auto` — pick per run: `gaps` when the model supports it, the expected
-//!   density is at most [`GAPS_DENSITY_THRESHOLD`], and the startup tuner
-//!   ([`crate::tune`]) measured `gaps` faster; `cellwise` otherwise.
+//! * `auto` — pick per run by a static rule: `gaps` when the model supports
+//!   it and the expected density is at most [`GAPS_DENSITY_THRESHOLD`];
+//!   `cellwise` otherwise.
 //!
 //! Selection mirrors the kernels vtable discipline ([`mod@crate::kernels`]): a
 //! process-wide mode resolved **once** from the [`configure_sampler`] override
@@ -153,10 +153,9 @@ pub fn process_sampler_mode() -> SamplerMode {
 ///
 /// A [`SamplerMode::Auto`] request defers to [`process_sampler_mode`]; a
 /// process-wide `auto` then picks `gaps` exactly when the model supports
-/// gap sampling, its expected density is at most [`GAPS_DENSITY_THRESHOLD`],
-/// and the startup tuner measured `gaps` faster on this machine. An explicit
-/// `gaps` request on a model without gap support falls back to `cellwise`
-/// (the only sampler every model has).
+/// gap sampling and its expected density is at most
+/// [`GAPS_DENSITY_THRESHOLD`]. An explicit `gaps` request on a model without
+/// gap support falls back to `cellwise` (the only sampler every model has).
 pub fn resolve_sampler(
     requested: SamplerMode,
     supports_gaps: bool,
@@ -166,22 +165,12 @@ pub fn resolve_sampler(
         SamplerMode::Auto => process_sampler_mode(),
         explicit => explicit,
     };
-    resolve_with(
-        mode,
-        supports_gaps,
-        expected_density,
-        crate::tune::tuned_sampler_mode(),
-    )
+    resolve_with(mode, supports_gaps, expected_density)
 }
 
-/// The pure resolution rule, with the process mode and tuner pick supplied
-/// explicitly (unit-testable without touching process-global state).
-fn resolve_with(
-    mode: SamplerMode,
-    supports_gaps: bool,
-    expected_density: f64,
-    tuner_pick: SamplerMode,
-) -> ResolvedSampler {
+/// The pure resolution rule, with the process mode supplied explicitly
+/// (unit-testable without touching process-global state).
+fn resolve_with(mode: SamplerMode, supports_gaps: bool, expected_density: f64) -> ResolvedSampler {
     match mode {
         SamplerMode::Cellwise => ResolvedSampler::Cellwise,
         SamplerMode::Gaps => {
@@ -192,10 +181,7 @@ fn resolve_with(
             }
         }
         SamplerMode::Auto => {
-            if supports_gaps
-                && expected_density <= GAPS_DENSITY_THRESHOLD
-                && tuner_pick == SamplerMode::Gaps
-            {
+            if supports_gaps && expected_density <= GAPS_DENSITY_THRESHOLD {
                 ResolvedSampler::Gaps
             } else {
                 ResolvedSampler::Cellwise
@@ -283,24 +269,17 @@ mod tests {
         use SamplerMode as M;
         let r = resolve_with;
         // Explicit modes are honored; gaps degrades gracefully without support.
+        assert_eq!(r(M::Cellwise, true, 0.01), ResolvedSampler::Cellwise);
+        assert_eq!(r(M::Gaps, true, 0.9), ResolvedSampler::Gaps);
+        assert_eq!(r(M::Gaps, false, 0.01), ResolvedSampler::Cellwise);
+        // Auto needs support + sparsity, both.
+        assert_eq!(r(M::Auto, true, 0.01), ResolvedSampler::Gaps);
         assert_eq!(
-            r(M::Cellwise, true, 0.01, M::Gaps),
-            ResolvedSampler::Cellwise
-        );
-        assert_eq!(r(M::Gaps, true, 0.9, M::Cellwise), ResolvedSampler::Gaps);
-        assert_eq!(r(M::Gaps, false, 0.01, M::Gaps), ResolvedSampler::Cellwise);
-        // Auto needs support + sparsity + a tuner preference, all three.
-        assert_eq!(r(M::Auto, true, 0.01, M::Gaps), ResolvedSampler::Gaps);
-        assert_eq!(
-            r(M::Auto, true, GAPS_DENSITY_THRESHOLD, M::Gaps),
+            r(M::Auto, true, GAPS_DENSITY_THRESHOLD),
             ResolvedSampler::Gaps
         );
-        assert_eq!(r(M::Auto, true, 0.2, M::Gaps), ResolvedSampler::Cellwise);
-        assert_eq!(r(M::Auto, false, 0.01, M::Gaps), ResolvedSampler::Cellwise);
-        assert_eq!(
-            r(M::Auto, true, 0.01, M::Cellwise),
-            ResolvedSampler::Cellwise
-        );
+        assert_eq!(r(M::Auto, true, 0.2), ResolvedSampler::Cellwise);
+        assert_eq!(r(M::Auto, false, 0.01), ResolvedSampler::Cellwise);
     }
 
     #[test]

@@ -95,13 +95,12 @@ impl Deserialize for ShardedBitmapDataset {
 }
 
 impl ShardedBitmapDataset {
-    /// Shard `dataset` with the machine-tuned shard width
-    /// ([`ShardedBitmapDataset::tuned_shard_rows`]; equal to
-    /// [`ShardedBitmapDataset::default_shard_rows`] when `SIGFIM_TUNE=off`).
+    /// Shard `dataset` at the default width
+    /// ([`ShardedBitmapDataset::default_shard_rows`]).
     pub fn from_dataset(dataset: &TransactionDataset) -> Self {
         Self::with_shard_rows(
             dataset,
-            Self::tuned_shard_rows(dataset.num_items(), dataset.num_transactions()),
+            Self::default_shard_rows(dataset.num_items(), dataset.num_transactions()),
         )
     }
 
@@ -144,33 +143,11 @@ impl ShardedBitmapDataset {
     /// The default shard width for a dataset of this shape: the largest
     /// multiple of 64 transactions whose column set
     /// (`num_items · shard_rows / 8` bytes) fits [`SHARD_L2_BUDGET_BYTES`],
-    /// and at least 64 so every shard holds a whole word.
+    /// at least 64 so every shard holds a whole word, and capped at the
+    /// (word-rounded) dataset height. Any width yields bit-identical results —
+    /// the fixed-order exact reduction makes the choice a pure speed knob.
     pub fn default_shard_rows(num_items: u32, num_transactions: usize) -> usize {
-        Self::shard_rows_for_budget(SHARD_L2_BUDGET_BYTES, num_items, num_transactions)
-    }
-
-    /// The shard width the startup tuner recommends for this machine: same
-    /// formula as [`ShardedBitmapDataset::default_shard_rows`], but with the
-    /// cache budget measured once per process by [`crate::tune`] instead of
-    /// the static L2 guess. Identical to the default when `SIGFIM_TUNE=off`.
-    /// Any width yields bit-identical results — the fixed-order exact
-    /// reduction makes the choice a pure speed knob.
-    pub fn tuned_shard_rows(num_items: u32, num_transactions: usize) -> usize {
-        Self::shard_rows_for_budget(
-            crate::tune::tuned_shard_budget_bytes(),
-            num_items,
-            num_transactions,
-        )
-    }
-
-    /// The largest word-aligned shard width whose column set fits
-    /// `budget_bytes`, capped at the (word-rounded) dataset height.
-    fn shard_rows_for_budget(
-        budget_bytes: usize,
-        num_items: u32,
-        num_transactions: usize,
-    ) -> usize {
-        let words_per_shard_column = (budget_bytes / 8) / num_items.max(1) as usize;
+        let words_per_shard_column = (SHARD_L2_BUDGET_BYTES / 8) / num_items.max(1) as usize;
         let rows = words_per_shard_column.max(1) * WORD_BITS;
         // Never shard wider than the dataset itself (rounded up to a word).
         rows.min(num_transactions.div_ceil(WORD_BITS).max(1) * WORD_BITS)
@@ -368,6 +345,23 @@ mod tests {
             ShardedBitmapDataset::default_shard_rows(10_000_000, 1 << 20),
             64
         );
+    }
+
+    #[test]
+    fn from_dataset_uses_the_static_default_width() {
+        // 2048 items × 4096 transactions: budgets of 128 KiB, 256 KiB,
+        // 512 KiB and 1 MiB give four different widths here, so nothing but
+        // the static L2 budget yields the default width.
+        let csr = TransactionDataset::from_transactions(
+            2048,
+            (0..4096u32).map(|tid| vec![tid % 2048]).collect(),
+        )
+        .unwrap();
+        let rows = ShardedBitmapDataset::default_shard_rows(2048, 4096);
+        assert_eq!(rows, 1024);
+        let sharded = ShardedBitmapDataset::from_dataset(&csr);
+        assert_eq!(sharded.shard_rows(), rows);
+        assert_eq!(sharded.num_shards(), 4);
     }
 
     #[test]

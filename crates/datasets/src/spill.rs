@@ -1001,9 +1001,10 @@ pub struct SpillSnapshot {
 }
 
 impl SpilledShards {
-    /// Spill `dataset` at the machine-tuned shard width (the same width
-    /// [`ShardedBitmapDataset::from_dataset`] would pick, so spilled and
-    /// resident views shard identically).
+    /// Spill `dataset` at the default shard width
+    /// ([`ShardedBitmapDataset::default_shard_rows`], the same width
+    /// [`ShardedBitmapDataset::from_dataset`] picks, so spilled and resident
+    /// views shard identically).
     ///
     /// # Errors
     ///
@@ -1013,8 +1014,10 @@ impl SpilledShards {
         dataset: &TransactionDataset,
         residency: &ShardResidency,
     ) -> crate::Result<Self> {
-        let shard_rows =
-            ShardedBitmapDataset::tuned_shard_rows(dataset.num_items(), dataset.num_transactions());
+        let shard_rows = ShardedBitmapDataset::default_shard_rows(
+            dataset.num_items(),
+            dataset.num_transactions(),
+        );
         Self::spill_dataset_with_rows(dataset, shard_rows, residency)
     }
 
@@ -1616,6 +1619,27 @@ mod tests {
             SpilledShards::spill_dataset(&tiny, &test_residency(0, SpillMode::Read)).unwrap();
         assert_eq!(spilled.num_shards(), 1);
         assert_eq!(spilled.item_supports(), tiny.item_supports());
+    }
+
+    #[test]
+    fn spill_dataset_uses_the_static_default_width() {
+        // 2048 items × 4096 transactions: every candidate shard budget gives
+        // a different width here, so only the static L2 budget matches.
+        let csr = TransactionDataset::from_transactions(
+            2048,
+            (0..4096u32).map(|tid| vec![tid % 2048]).collect(),
+        )
+        .unwrap();
+        let spilled =
+            SpilledShards::spill_dataset(&csr, &test_residency(1 << 30, SpillMode::Read)).unwrap();
+        assert_eq!(
+            spilled.shard_rows(),
+            ShardedBitmapDataset::default_shard_rows(2048, 4096)
+        );
+        assert_eq!(
+            spilled.shard_rows(),
+            ShardedBitmapDataset::from_dataset(&csr).shard_rows()
+        );
     }
 
     #[test]

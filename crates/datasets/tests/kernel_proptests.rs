@@ -1,5 +1,5 @@
 //! Property-based parity for the counting kernels: every kernel the machine
-//! supports (scalar, unrolled, AVX2 where detected) must return identical
+//! supports (scalar, AVX2 and AVX-512 where detected) must return identical
 //! values — and write identical words — for random lengths (including 0, 1,
 //! and non-multiple-of-4 word tails) and random bit patterns, on all four
 //! vtable operations. CI runs this suite under both `SIGFIM_KERNELS=scalar`
@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use sigfim_datasets::kernels::{kernels, kernels_for, KernelMode};
 
-/// Random word slices whose lengths straddle the unroll factor (4) and the
-/// 256-bit vector width, with full-range bit patterns (the inclusive range
+/// Random word slices whose lengths straddle the 256-bit (4-word) and
+/// 512-bit (8-word) vector widths, with full-range bit patterns (the inclusive range
 /// covers all-zeros and all-ones words).
 fn words() -> impl Strategy<Value = Vec<u64>> {
     vec(0u64..=u64::MAX, 0..67)

@@ -252,7 +252,16 @@ fn envread_fires_outside_config_modules() {
 #[test]
 fn envread_quiet_in_designated_files_and_for_other_vars() {
     assert!(lint_one("crates/datasets/src/sampler.rs", ENVREAD_POSITIVE).is_empty());
-    assert!(lint_one("crates/mining/src/tune.rs", ENVREAD_POSITIVE).is_empty());
+    // The former tuner modules read no configuration any more, so they are
+    // no longer config seams: a `SIGFIM_*` read there is reported.
+    for former_seam in ["crates/datasets/src/tune.rs", "crates/mining/src/tune.rs"] {
+        let diagnostics = lint_one(former_seam, ENVREAD_POSITIVE);
+        assert_eq!(
+            rules_of(&diagnostics),
+            ["env-read-centralized"],
+            "{former_seam}"
+        );
+    }
     let other_var = r#"
 pub fn home() -> Option<String> {
     std::env::var("HOME").ok()

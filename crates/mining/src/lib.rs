@@ -19,11 +19,10 @@
 //! | [`fpgrowth`] | FP-Growth over an FP-tree |
 //! | [`bruteforce`] | exhaustive reference miner used as a test oracle |
 //! | [`closed`] | closure operator, closed-itemset mining, §4.1 redundancy analysis |
-//! | [`miner`] | the [`miner::KItemsetMiner`] trait and [`miner::MinerKind`] dispatch |
+//! | [`miner`] | the [`miner::KItemsetMiner`] trait, [`miner::MinerKind`] dispatch and the static `auto` miner rule |
 //! | [`sharded`] | level-wise mining over transaction-sharded bitmaps |
 //! | [`par_eclat`] | subtree-parallel bitset Eclat, bit-identical to `eclat` at any worker count |
 //! | [`dispatch`] | process-wide per-miner dispatch counters for service telemetry |
-//! | [`mod@tune`] | startup micro-benchmark picking the `auto` miner (`SIGFIM_TUNE=off\|auto`) |
 //!
 //! All miners return exactly the same answers (this is enforced by cross-checking
 //! tests); they differ only in performance characteristics.
@@ -63,7 +62,6 @@ pub mod itemset;
 pub mod miner;
 pub mod par_eclat;
 pub mod sharded;
-pub mod tune;
 
 pub use apriori::Apriori;
 pub use bruteforce::BruteForce;
@@ -75,12 +73,11 @@ pub use dispatch::{dispatch_counts, DispatchCounts};
 pub use eclat::Eclat;
 pub use fpgrowth::FpGrowth;
 pub use itemset::ItemsetSupport;
-pub use miner::{KItemsetMiner, MinerKind};
+pub use miner::{miner_decision, tuned_miner, KItemsetMiner, MinerKind};
 pub use par_eclat::ParallelEclat;
 pub use sharded::{
     count_candidates_sharded, count_candidates_spilled, mine_k_sharded, mine_k_spilled,
 };
-pub use tune::{miner_decision, tuned_miner, MinerTuneDecision, MinerTuneTiming};
 
 use std::fmt;
 

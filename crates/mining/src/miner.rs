@@ -151,6 +151,23 @@ impl MinerKind {
     }
 }
 
+/// The miner `--miner auto` prefers on the multi-worker dense (bitmap or
+/// sharded) path. A static rule: the sequential bitset [`MinerKind::Eclat`].
+/// The subtree-parallel miner measured slower than it at 2 workers in 6 of
+/// the 8 `mining.par_eclat_speedup*` readings of `perfbench/README.md`, so it
+/// is never picked automatically; [`MinerKind::ParEclat`] stays selectable
+/// explicitly.
+pub fn miner_decision() -> MinerKind {
+    MinerKind::Eclat
+}
+
+/// The miner an `auto` request resolves to, given whether the dense bitmap
+/// mining path applies and how many workers the execution policy provides. A
+/// static rule: [`miner_decision`] on every path and at any worker count.
+pub fn tuned_miner(_bitmap_path: bool, _workers: usize) -> MinerKind {
+    miner_decision()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,5 +192,15 @@ mod tests {
     #[test]
     fn default_kind_is_apriori() {
         assert_eq!(MinerKind::default(), MinerKind::Apriori);
+    }
+
+    #[test]
+    fn auto_miner_is_the_static_eclat_rule() {
+        assert_eq!(miner_decision(), MinerKind::Eclat);
+        for bitmap_path in [false, true] {
+            for workers in [1, 2, 8] {
+                assert_eq!(tuned_miner(bitmap_path, workers), MinerKind::Eclat);
+            }
+        }
     }
 }

@@ -535,7 +535,8 @@ pub struct EngineInfo {
     pub fingerprint: u64,
 }
 
-/// One startup-tuner measurement, as reported in [`KernelStats`].
+/// One startup measurement, as reported in [`KernelStats`]. Kept for v1 wire
+/// compatibility: current servers measure nothing and report none.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TunerTiming {
     /// What was measured: `kernel:<mode>`, `shard_budget_bytes:<n>`,
@@ -545,33 +546,32 @@ pub struct TunerTiming {
     pub median_ns: u64,
 }
 
-/// The process-wide counting-kernel configuration and startup-tuner decision,
-/// as reported by `GET /v1/stats`.
+/// The process-wide counting-kernel configuration and static configuration
+/// picks, as reported by `GET /v1/stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KernelStats {
     /// The kernel mode dispatch resolved to (e.g. `avx512`), after the
-    /// `--kernels` flag / `SIGFIM_KERNELS` override and the tuner had their
-    /// say.
+    /// `--kernels` flag / `SIGFIM_KERNELS` override had its say.
     pub mode: String,
-    /// Whether the startup micro-benchmark actually ran (`SIGFIM_TUNE=auto`);
-    /// `false` means static fallbacks were used unmeasured.
+    /// Whether a startup micro-benchmark ran. Always `false` from current
+    /// servers: every pick is a static rule.
     pub tuned: bool,
-    /// The concrete kernel the tuner picked for `auto` dispatch.
+    /// The concrete kernel `auto` dispatch resolves to: the widest one the
+    /// CPU supports.
     pub tuner_kernel: String,
     /// The shard budget (bytes of column data per shard) new sharded
     /// datasets are sized by.
     pub shard_budget_bytes: usize,
-    /// Every micro-benchmark measurement behind the decision (empty when
-    /// tuning was off).
+    /// Startup measurements behind the picks. Always empty from current
+    /// servers, which measure nothing.
     pub tuner_timings: Vec<TunerTiming>,
-    /// The replicate sampler the tuner prefers when `auto` dispatch has a
-    /// choice (the density and model gates still apply per run). Additive
-    /// field, defaulted on deserialization.
+    /// The replicate sampler `auto` dispatch prefers when it has a choice
+    /// (the density and model gates still apply per run). Additive field,
+    /// defaulted on deserialization.
     #[serde(default)]
     pub tuner_sampler: String,
-    /// The k-itemset miner the tuner prefers for `--miner auto` on the
-    /// multi-worker bitmap path. Additive field, defaulted on
-    /// deserialization.
+    /// The k-itemset miner `--miner auto` picks on the multi-worker bitmap
+    /// path. Additive field, defaulted on deserialization.
     #[serde(default)]
     pub tuner_miner: String,
 }
@@ -596,8 +596,8 @@ pub struct ServiceStats {
     /// the field is additive) still parse, reading as zeroed counters.
     #[serde(default)]
     pub profile_caches: CacheStats,
-    /// Resolved counting-kernel mode and the startup auto-tuner's decision
-    /// (chosen kernel, shard budget, micro-bench timings). Additive field,
+    /// Resolved counting-kernel mode and the static configuration picks
+    /// (`auto` kernel, shard budget, sampler and miner). Additive field,
     /// defaulted on deserialization like `profile_caches`.
     #[serde(default)]
     pub kernels: KernelStats,

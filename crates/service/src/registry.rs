@@ -25,48 +25,24 @@ use crate::jobs::{JobTable, Work, DEFAULT_QUEUE_CAPACITY};
 use crate::persist::ServiceDb;
 use crate::protocol::{
     ApiError, ApiRequest, ApiRequestBody, ApiResponse, ApiResult, EngineInfo, JobInfo, JobState,
-    KernelStats, ModelSpec, ResidencyStats, ServiceStats, TunerTiming,
+    KernelStats, ModelSpec, ResidencyStats, ServiceStats,
 };
 
-/// Snapshot the process-wide kernel dispatch and startup-tuner decision for
-/// `/v1/stats`. Forces kernel dispatch (and, under `SIGFIM_TUNE=auto`, the
-/// one-shot micro-benchmark) on first call; both are cached for the process
-/// lifetime, so polling is free.
+/// Snapshot the process-wide kernel dispatch and the static configuration
+/// picks for `/v1/stats`. Forces kernel dispatch on first call; it is cached
+/// for the process lifetime, so polling is free. Nothing is measured, so
+/// `tuned` is `false` and `tuner_timings` empty, the values a v1 client
+/// already knows from a server that skipped measurement.
 fn kernel_stats() -> KernelStats {
     let decision = sigfim_datasets::tune::decision();
-    let miner = sigfim_mining::miner_decision();
-    let mut tuner_timings: Vec<TunerTiming> = decision
-        .timings
-        .iter()
-        .map(|timing| TunerTiming {
-            subject: match timing.subject {
-                sigfim_datasets::tune::TuneSubject::Kernel(mode) => {
-                    format!("kernel:{}", mode.name())
-                }
-                sigfim_datasets::tune::TuneSubject::ShardBudgetBytes(bytes) => {
-                    format!("shard_budget_bytes:{bytes}")
-                }
-                sigfim_datasets::tune::TuneSubject::Sampler(mode) => {
-                    format!("sampler:{}", mode.name())
-                }
-            },
-            median_ns: timing.median_ns,
-        })
-        .collect();
-    tuner_timings.extend(miner.timings.iter().map(|timing| TunerTiming {
-        subject: format!("miner:{}", timing.miner.name()),
-        median_ns: timing.median_ns,
-    }));
     KernelStats {
         mode: sigfim_datasets::kernels().name().to_string(),
         tuned: decision.tuned,
         tuner_kernel: decision.kernel.name().to_string(),
-        shard_budget_bytes: decision.shard_budget_bytes,
-        tuner_timings,
+        shard_budget_bytes: sigfim_datasets::sharded::SHARD_L2_BUDGET_BYTES,
+        tuner_timings: Vec::new(),
         tuner_sampler: decision.sampler.name().to_string(),
-        // What `--miner auto` resolves to on the multi-worker bitmap path —
-        // the only configuration where the tuner's preference is consulted.
-        tuner_miner: sigfim_mining::tuned_miner(true, 2).name().to_string(),
+        tuner_miner: sigfim_mining::miner_decision().name().to_string(),
     }
 }
 
@@ -789,17 +765,19 @@ mod tests {
         assert_eq!(stats.threshold_store.hits, 1);
         assert_eq!(stats.threshold_store.misses, 1);
 
-        // The kernel/tuner surface reports the resolved process-wide state:
-        // a concrete supported mode, the tuner's concrete pick, and a
-        // positive shard budget — with timings exactly when the tuner ran.
-        let kernel_names = ["scalar", "unrolled", "avx2", "avx512"];
-        assert!(kernel_names.contains(&stats.kernels.mode.as_str()));
-        assert!(kernel_names.contains(&stats.kernels.tuner_kernel.as_str()));
-        assert!(stats.kernels.shard_budget_bytes > 0);
-        assert_eq!(stats.kernels.tuned, !stats.kernels.tuner_timings.is_empty());
-        // The tuner's sampler and miner picks are concrete names.
-        assert!(["cellwise", "gaps"].contains(&stats.kernels.tuner_sampler.as_str()));
-        assert!(["eclat", "par-eclat"].contains(&stats.kernels.tuner_miner.as_str()));
+        // The kernel surface reports the static process-wide configuration:
+        // nothing measured, `auto` dispatch on the widest supported kernel,
+        // the L2 shard budget, and the static sampler and miner picks.
+        assert!(["scalar", "avx2", "avx512"].contains(&stats.kernels.mode.as_str()));
+        assert!(!stats.kernels.tuned);
+        assert!(stats.kernels.tuner_timings.is_empty());
+        assert_eq!(stats.kernels.tuner_kernel, stats.kernels.mode);
+        assert_eq!(
+            stats.kernels.shard_budget_bytes,
+            sigfim_datasets::sharded::SHARD_L2_BUDGET_BYTES
+        );
+        assert_eq!(stats.kernels.tuner_sampler, "gaps");
+        assert_eq!(stats.kernels.tuner_miner, "eclat");
         // And the analyses above registered in the dispatch counters — both
         // the mining passes and the null replicates they consumed.
         assert!(stats.miner_dispatch.total() > 0);

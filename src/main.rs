@@ -5,7 +5,7 @@
 //!        [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>]
 //!        [--miner apriori|eclat|fp-growth|par-eclat|auto]
 //!        [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|unrolled|avx2|avx512|auto]
+//!        [--kernels scalar|avx2|avx512|auto]
 //!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--max-restarts <n>] [--swap-null [<swaps-per-entry>]]
@@ -14,7 +14,7 @@
 //!
 //! sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]
 //!        [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|unrolled|avx2|avx512|auto]
+//!        [--kernels scalar|avx2|avx512|auto]
 //!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--swap-null [<swaps-per-entry>]]
@@ -60,7 +60,6 @@ use sigfim::datasets::bitmap::{DatasetBackend, ResolvedBackend};
 use sigfim::datasets::fimi::read_fimi_file;
 use sigfim::datasets::kernels::{configure_kernels, KernelMode};
 use sigfim::datasets::transaction::TransactionDataset;
-use sigfim::datasets::tune::startup_tune_request;
 use sigfim::datasets::{
     configure_residency, configure_sampler, configure_spill, parse_budget_bytes,
     set_default_spill_dir, SamplerMode,
@@ -83,7 +82,7 @@ struct CliOptions {
     replicates: usize,
     seed: u64,
     /// `--miner` selection; `None` is `auto`, resolved after the dataset
-    /// loads: the parallel Eclat when the resolved backend is dense
+    /// loads: the sequential bitset Eclat when the resolved backend is dense
     /// (bitmap/sharded) and more than one worker is available, Apriori
     /// otherwise. Every choice yields bit-identical reports.
     miner: Option<MinerKind>,
@@ -103,8 +102,9 @@ struct CliOptions {
     baseline: bool,
     list: usize,
     /// `--kernels` counting-kernel selection, validated against this CPU at
-    /// startup. `None` defers to `SIGFIM_KERNELS`, then the auto-tuner; a
-    /// flag that conflicts with a set `SIGFIM_KERNELS` is a startup error.
+    /// startup. `None` defers to `SIGFIM_KERNELS`, then `auto` (the widest
+    /// kernel the CPU supports); a flag that conflicts with a set
+    /// `SIGFIM_KERNELS` is a startup error.
     kernels: Option<KernelMode>,
     /// `--sampler` replicate-sampler selection. `None` defers to
     /// `SIGFIM_SAMPLER` (default `cellwise`); a flag that conflicts with a
@@ -120,14 +120,14 @@ struct CliOptions {
 const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--alpha <a>] \
     [--beta <b>] [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>] \
     [--miner apriori|eclat|fp-growth|par-eclat|auto] [--backend auto|csr|bitmap|sharded] \
-    [--kernels scalar|unrolled|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
+    [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
     [--shard-residency <bytes[K|M|G]>] [--max-restarts <n>] \
     [--swap-null [<swaps-per-entry>]] [--cache-capacity <n>] [--conservative-lambda] \
     [--no-baseline] [--list <n>]\n\
     \n\
     sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]\n\
     \x20       [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]\n\
-    \x20       [--kernels scalar|unrolled|avx2|avx512|auto] [--sampler cellwise|gaps|auto]\n\
+    \x20       [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto]\n\
     \x20       [--shard-residency <bytes[K|M|G]>] [--swap-null [<swaps-per-entry>]]\n\
     \x20       [--data-dir <dir>] [--queue-capacity <n>] [--job-workers <n>]\n\
     \n\
@@ -135,18 +135,17 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     range (2..5 == 2..=5) that runs as one cached multi-k batch.\n\
     --seed defaults to the library default 0x51F1D009, so the CLI, the engine\n\
     API and the service all reproduce each other bit for bit.\n\
-    --miner auto picks the subtree-parallel Eclat on dense (bitmap/sharded)\n\
-    datasets when more than one worker thread is available and the startup\n\
-    tuner measured it as a win, the sequential miners otherwise; every miner\n\
-    produces bit-identical reports.\n\
+    --miner auto picks the sequential bitset Eclat on dense (bitmap/sharded)\n\
+    datasets when more than one worker thread is available, Apriori\n\
+    otherwise; every miner produces bit-identical reports.\n\
     --kernels selects the counting kernel, validated against this CPU at\n\
     startup; it mirrors SIGFIM_KERNELS, and a conflicting combination of flag\n\
     and environment is an error rather than a silent preference.\n\
     --sampler selects the null-replicate sampler (mirrors SIGFIM_SAMPLER):\n\
     cellwise is the legacy per-cell Bernoulli draw, gaps draws only the set\n\
     bits via geometric jumps (a different RNG stream, so estimates differ\n\
-    numerically but not statistically), auto lets the density gate and the\n\
-    startup tuner choose per run.\n\
+    numerically but not statistically), auto picks gaps per run when the\n\
+    model supports it and its density is at most 0.05.\n\
     --shard-residency bounds the bytes of sharded-backend shards kept in\n\
     memory (suffixes K/M/G, powers of 1024; mirrors SIGFIM_RESIDENCY): cold\n\
     shards spill to per-shard files and fault back on demand via mmap or a\n\
@@ -299,15 +298,13 @@ fn parse_value<T: std::str::FromStr, I: Iterator<Item = String>>(
 /// Validate the kernel, sampler, and out-of-core configuration (the
 /// `--kernels` / `--sampler` / `--shard-residency` flags against
 /// `SIGFIM_KERNELS` / `SIGFIM_SAMPLER` / `SIGFIM_SPILL` / `SIGFIM_RESIDENCY`
-/// and this CPU) and the `SIGFIM_TUNE` setting at startup, so
-/// misconfiguration is a clean error here instead of a panic at the first
-/// dispatch deep inside the analysis.
+/// and this CPU) at startup, so misconfiguration is a clean error here
+/// instead of a panic at the first dispatch deep inside the analysis.
 fn configure_kernel_startup(
     kernels: Option<KernelMode>,
     sampler: Option<SamplerMode>,
     shard_residency: Option<u64>,
 ) -> Result<(), String> {
-    startup_tune_request()?;
     configure_kernels(kernels)?;
     configure_sampler(sampler)?;
     configure_spill(None)?;
@@ -315,11 +312,10 @@ fn configure_kernel_startup(
     Ok(())
 }
 
-/// Resolve `--miner auto` once the dataset is loaded: the subtree-parallel
-/// Eclat wherever it can actually help — a dense (bitmap or sharded) resolved
-/// backend, more than one worker, and a startup-tuner measurement that says
-/// the frame queue pays for itself (falling back to the sequential bitset
-/// Eclat when it does not) — and the Apriori default otherwise.
+/// Resolve `--miner auto` once the dataset is loaded: the static
+/// [`tuned_miner`] rule (the sequential bitset Eclat) on a dense (bitmap or
+/// sharded) resolved backend with more than one worker, and the Apriori
+/// default otherwise.
 fn resolve_miner(options: &CliOptions, dataset: &TransactionDataset) -> MinerKind {
     match options.miner {
         Some(miner) => miner,
@@ -731,9 +727,9 @@ mod tests {
         assert_eq!(auto.miner, None);
         assert!(parse(&["data.dat", "--miner", "warp"]).is_err());
 
-        // `auto` resolution: par-eclat only when the backend is dense AND
-        // more than one worker is available; Apriori otherwise. A forced
-        // bitmap backend makes the density check deterministic.
+        // `auto` resolution: the sequential bitset Eclat when the backend is
+        // dense AND more than one worker is available; Apriori otherwise. A
+        // forced bitmap backend makes the density check deterministic.
         let dataset = TransactionDataset::from_transactions(
             3,
             vec![vec![0, 1, 2], vec![0, 1], vec![1, 2], vec![0, 2]],
@@ -744,13 +740,7 @@ mod tests {
             threads: 4,
             ..auto
         };
-        // Dense + multi-worker defers to the startup tuner's measured
-        // preference between the parallel and sequential bitset Eclat.
-        assert_eq!(resolve_miner(&parallel, &dataset), tuned_miner(true, 4));
-        assert!(matches!(
-            resolve_miner(&parallel, &dataset),
-            MinerKind::ParEclat | MinerKind::Eclat
-        ));
+        assert_eq!(resolve_miner(&parallel, &dataset), MinerKind::Eclat);
         let sequential = CliOptions {
             backend: DatasetBackend::Bitmap,
             threads: 1,
@@ -781,8 +771,9 @@ mod tests {
         assert!(err.contains("sse9"), "{err}");
         assert!(parse(&["data.dat", "--kernels"]).is_err());
 
-        let serve = parse_serve(&["x.dat", "--kernels", "unrolled"]).unwrap();
-        assert_eq!(serve.kernels, Some(KernelMode::Unrolled));
+        let serve = parse_serve(&["x.dat", "--kernels", "avx2"]).unwrap();
+        assert_eq!(serve.kernels, Some(KernelMode::Avx2));
+        assert!(parse_serve(&["x.dat", "--kernels", "unrolled"]).is_err());
         assert!(parse_serve(&["x.dat", "--kernels", "fast"]).is_err());
         assert!(USAGE.contains("--kernels"));
     }
