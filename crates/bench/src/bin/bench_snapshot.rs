@@ -30,13 +30,13 @@ use sigfim_datasets::bitmap::{with_bitmap_scratch, BitmapDataset};
 use sigfim_datasets::kernels::{kernels_for, KernelMode};
 use sigfim_datasets::random::BernoulliModel;
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::{ShardResidency, SpillMode, SpilledShards, MMAP_SUPPORTED};
+use sigfim_datasets::spill::ShardResidency;
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_exec::{substream, ExecutionPolicy};
 use sigfim_mining::counting::count_candidates_bitmap;
 use sigfim_mining::eclat::Eclat;
 use sigfim_mining::par_eclat::ParallelEclat;
-use sigfim_mining::sharded::{count_candidates_sharded, count_candidates_spilled};
+use sigfim_mining::sharded::count_candidates_sharded;
 
 /// Smaller than the criterion workload so the whole snapshot stays fast.
 const TRANSACTIONS: usize = 4_000;
@@ -185,29 +185,21 @@ fn main() {
         );
     }
 
-    // Out-of-core counting: the same candidate batch against a spilled view,
+    // Out-of-core counting: the same candidate batch against a spilled store,
     // fully pinned (budget covers everything: measures the fault-free guard
     // overhead) and fully cold (1-byte budget: every shard faults from its
     // spill file once per batch).
-    let spill_mode = if MMAP_SUPPORTED {
-        SpillMode::Mmap
-    } else {
-        SpillMode::Read
-    };
     for (tag, budget) in [("pinned", u64::MAX), ("cold", 1u64)] {
-        let residency = ShardResidency {
-            budget_bytes: budget,
-            mode: spill_mode,
-            dir: None,
-        };
-        let spilled = SpilledShards::spill_dataset(&dataset, &residency).expect("spill to tmp");
+        let residency = ShardResidency::with_budget(budget);
+        let spilled =
+            ShardedBitmapDataset::spill_dataset(&dataset, &residency).expect("spill to tmp");
         for workers in [1usize, 2] {
             let policy = ExecutionPolicy::from_threads(workers);
             record(
                 &mut entries,
                 format!("counting/spilled_{tag}_workers{workers}"),
                 || {
-                    black_box(count_candidates_spilled(&spilled, &candidates, policy));
+                    black_box(count_candidates_sharded(&spilled, &candidates, policy));
                 },
             );
         }

@@ -67,7 +67,7 @@ use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend, ResolvedBackend};
 use sigfim_datasets::random::{BernoulliModel, BoxedNullModel, NullModel, SwapRandomizationModel};
 use sigfim_datasets::sampler::{resolve_sampler, ResolvedSampler, SamplerMode};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::{ShardResidency, SpilledShards};
+use sigfim_datasets::spill::{ShardResidency, SpillSnapshot};
 use sigfim_datasets::summary::DatasetSummary;
 use sigfim_datasets::transaction::TransactionDataset;
 use sigfim_exec::{BatchObserver, ExecutionPolicy};
@@ -916,20 +916,16 @@ pub struct AnalysisEngine<M: NullModel + Sync = BernoulliModel> {
     /// The bitmap view of `dataset`, built once whenever `backend` resolves to
     /// the bitmap for it; shared by every Procedure 2 pass.
     bitmap: Option<BitmapDataset>,
-    /// The transaction-sharded bitmap view, built once whenever `backend`
-    /// resolves to [`ResolvedBackend::ShardedBitmap`]; Procedure 2's counting
-    /// passes fan it out shard-by-shard under the engine's execution policy.
-    sharded: Option<ShardedBitmapDataset>,
-    /// The out-of-core view: when a residency budget is active and the
-    /// backend resolves to the sharded bitmap, the shards live in per-shard
-    /// spill files and only a budget-bounded LRU subset stays resident (see
-    /// [`SpilledShards`]). `Arc`-wrapped because engines are `Clone` — clones
-    /// share the spill files and the residency set. Replaces `sharded` when
-    /// present; the Monte-Carlo replicate scratch path never spills.
-    spilled: Option<Arc<SpilledShards>>,
-    /// The residency configuration `rebuild_views` applies, when one was set
-    /// explicitly on this engine. `None` falls back to the process-wide
-    /// configuration (`--shard-residency` / `SIGFIM_RESIDENCY`).
+    /// The transaction-sharded store, built once whenever `backend` resolves
+    /// to [`ResolvedBackend::ShardedBitmap`]; Procedure 2's counting passes
+    /// fan it out shard-by-shard under the engine's execution policy. Its
+    /// shards are resident, or spilled under `residency`. `Arc`-wrapped
+    /// because engines are `Clone` — clones share the store (and a spilled
+    /// store's files and residency set). The Monte-Carlo replicate scratch
+    /// path never spills.
+    sharded: Option<Arc<ShardedBitmapDataset>>,
+    /// The shard residency `rebuild_views` applies to the sharded store;
+    /// `None` keeps its shards resident.
     residency: Option<ShardResidency>,
     /// Handle to the threshold cache — private by default, shareable across
     /// engines for cross-tenant reuse.
@@ -1042,7 +1038,6 @@ impl<M: NullModel + Send + Sync + 'static> AnalysisEngine<M> {
             policy: self.policy,
             bitmap: self.bitmap,
             sharded: self.sharded,
-            spilled: self.spilled,
             residency: self.residency,
             store: self.store,
             observations: self.observations,
@@ -1085,7 +1080,6 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
             policy: ExecutionPolicy::default(),
             bitmap: None,
             sharded: None,
-            spilled: None,
             residency: None,
             store: ThresholdStore::new(),
             observations: ObservationStore::new(),
@@ -1157,27 +1151,30 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
         self
     }
 
-    /// Bound the resident footprint of the sharded-bitmap view: when the
-    /// backend resolves to [`ResolvedBackend::ShardedBitmap`], the shards are
-    /// spilled to per-shard files and at most `residency.budget_bytes` of
-    /// shard payload stays in memory at once (LRU eviction; cold shards fault
-    /// back in on demand). Results are bit-identical at every budget; see
-    /// [`SpilledShards`]. An inactive residency (zero budget or spill mode
-    /// `off`) restores the fully-resident view. Without this call the
-    /// process-wide configuration (`--shard-residency` / `SIGFIM_RESIDENCY`)
-    /// applies. Clears the profile cache and rebuilds the views.
+    /// Bound the resident footprint of the sharded store: when the backend
+    /// resolves to [`ResolvedBackend::ShardedBitmap`], the shards are spilled
+    /// to per-shard files and at most `residency.budget_bytes` of shard
+    /// payload stays in memory at once (LRU eviction; cold shards fault back
+    /// in on demand). Results are bit-identical at every budget; see
+    /// [`sigfim_datasets::spill`]. An engine without a residency keeps its
+    /// shards resident. Set it before [`AnalysisEngine::with_backend`] so the
+    /// store is built once; on an engine that already holds a sharded store
+    /// this rebuilds it and clears the profile cache.
     pub fn with_shard_residency(mut self, residency: ShardResidency) -> Self {
         self.residency = Some(residency);
-        self.profiles.clear();
-        self.rebuild_views();
+        if self.sharded.is_some() {
+            self.profiles.clear();
+            self.rebuild_views();
+        }
         self
     }
 
-    /// A snapshot of the out-of-core view's residency state, when this
-    /// engine's sharded view is spilled (see
-    /// [`AnalysisEngine::with_shard_residency`]).
-    pub fn spill_snapshot(&self) -> Option<sigfim_datasets::spill::SpillSnapshot> {
-        self.spilled.as_ref().map(|spilled| spilled.snapshot())
+    /// A snapshot of the sharded store's residency state, when its shards
+    /// are spilled (see [`AnalysisEngine::with_shard_residency`]).
+    pub fn spill_snapshot(&self) -> Option<SpillSnapshot> {
+        self.sharded
+            .as_ref()
+            .and_then(|sharded| sharded.spill_snapshot())
     }
 
     /// Select the execution policy for the Monte-Carlo replicate loop (a pure
@@ -1290,8 +1287,8 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                         request.miner,
                         dataset,
                         self.bitmap.as_ref(),
-                        self.sharded.as_ref(),
-                        self.spilled.as_deref(),
+                        self.sharded.as_deref(),
+                        None,
                         k,
                         estimate.s_min,
                         self.policy,
@@ -1461,7 +1458,6 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
     fn rebuild_views(&mut self) {
         self.bitmap = None;
         self.sharded = None;
-        self.spilled = None;
         self.stats = self.dataset.as_ref().map(|dataset| DatasetStats {
             summary: DatasetSummary::from_dataset(dataset),
             max_item_support: dataset.max_item_support(),
@@ -1471,31 +1467,21 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
                 ResolvedBackend::Csr => {}
                 ResolvedBackend::Bitmap => self.bitmap = Some(BitmapDataset::from_dataset(dataset)),
                 ResolvedBackend::ShardedBitmap => {
-                    // An explicit per-engine residency wins; otherwise the
-                    // process-wide `--shard-residency` / `SIGFIM_RESIDENCY`
-                    // configuration applies. No active residency (or a spill
-                    // failure, e.g. an unwritable spill directory) falls back
-                    // to the fully-resident sharded view — results are
-                    // identical either way, only the footprint differs.
-                    let residency = self
-                        .residency
-                        .clone()
-                        .or_else(ShardResidency::from_process_config)
-                        .filter(|residency| residency.is_active());
-                    let mut spilled = None;
-                    if let Some(residency) = residency {
-                        match SpilledShards::spill_dataset(dataset, &residency) {
-                            Ok(view) => spilled = Some(Arc::new(view)),
-                            Err(error) => eprintln!(
-                                "sigfim: shard spill failed ({error}); \
-                                 keeping the sharded view fully resident"
-                            ),
-                        }
-                    }
-                    match spilled {
-                        Some(view) => self.spilled = Some(view),
-                        None => self.sharded = Some(ShardedBitmapDataset::from_dataset(dataset)),
-                    }
+                    // A spill failure (e.g. an unwritable spill directory)
+                    // falls back to resident shards — results are identical
+                    // either way, only the footprint differs.
+                    let store = match &self.residency {
+                        Some(residency) => ShardedBitmapDataset::spill_dataset(dataset, residency)
+                            .unwrap_or_else(|error| {
+                                eprintln!(
+                                    "sigfim: shard spill failed ({error}); \
+                                     keeping the sharded store resident"
+                                );
+                                ShardedBitmapDataset::from_dataset(dataset)
+                            }),
+                        None => ShardedBitmapDataset::from_dataset(dataset),
+                    };
+                    self.sharded = Some(Arc::new(store));
                 }
             }
         }

@@ -23,7 +23,6 @@
 use serde::{Deserialize, Serialize};
 use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::SpilledShards;
 use sigfim_datasets::transaction::TransactionDataset;
 use sigfim_exec::ExecutionPolicy;
 use sigfim_mining::counting::SupportProfile;
@@ -119,17 +118,19 @@ impl Procedure2 {
     /// that answers every `Q_{k,s_i}` query of the grid and holds every
     /// family `F_k(s)` with `s ≥ s_min`: via the bitset Eclat when a bitmap
     /// is supplied, via the shard-parallel level-wise sweep when a sharded
-    /// bitmap is supplied (each level's counting fans out under `policy`),
-    /// via the selected miner (counting through the density-chosen
-    /// `SupportCounter`) otherwise. With
+    /// store is supplied (each level's counting fans out under `policy`;
+    /// a spilled store counts under its residency budget, faulting cold
+    /// shards in exactly once per level), via the selected miner (counting
+    /// through the density-chosen `SupportCounter`) otherwise. With
     /// `miner = MinerKind::ParEclat` the bitmap and sharded passes instead run
     /// the subtree-parallel Eclat under `policy` — bit-identical profiles
     /// either way. When no itemset can reach the floor the profile is empty
-    /// without any mining pass. A supplied `bitmap` wins over `sharded` and
-    /// `spilled`, and `spilled` wins over `sharded` (engines hold at most
-    /// one). A `spilled` view counts under the residency budget: resident
-    /// shards are visited first and cold shards are faulted in (and possibly
-    /// evicted again) exactly once per level.
+    /// without any mining pass. A supplied `bitmap` wins over a sharded
+    /// store.
+    ///
+    /// `spilled` exists only to keep the eight-parameter call shape of
+    /// existing callers; it acts exactly like `sharded` (which wins when both
+    /// are given).
     ///
     /// # Errors
     ///
@@ -140,7 +141,7 @@ impl Procedure2 {
         dataset: &TransactionDataset,
         bitmap: Option<&BitmapDataset>,
         sharded: Option<&ShardedBitmapDataset>,
-        spilled: Option<&SpilledShards>,
+        spilled: Option<&ShardedBitmapDataset>,
         k: usize,
         s_min: u64,
         policy: ExecutionPolicy,
@@ -148,24 +149,16 @@ impl Procedure2 {
         if dataset.max_item_support() < s_min {
             return Ok(SupportProfile::from_itemsets(k, s_min, Vec::new()));
         }
-        match (bitmap, spilled, sharded) {
-            (Some(bitmap), _, _) if miner == MinerKind::ParEclat => Ok(
+        match (bitmap, sharded.or(spilled)) {
+            (Some(bitmap), _) if miner == MinerKind::ParEclat => Ok(
                 SupportProfile::from_bitmap_parallel(bitmap, k, s_min, policy)?,
             ),
-            (Some(bitmap), _, _) => Ok(SupportProfile::from_bitmap(bitmap, k, s_min)?),
-            (None, Some(spilled), _) if miner == MinerKind::ParEclat => Ok(
-                SupportProfile::from_spilled_parallel(spilled, k, s_min, policy)?,
-            ),
-            (None, Some(spilled), _) => {
-                Ok(SupportProfile::from_spilled(spilled, k, s_min, policy)?)
-            }
-            (None, None, Some(sharded)) if miner == MinerKind::ParEclat => Ok(
+            (Some(bitmap), _) => Ok(SupportProfile::from_bitmap(bitmap, k, s_min)?),
+            (None, Some(sharded)) if miner == MinerKind::ParEclat => Ok(
                 SupportProfile::from_sharded_parallel(sharded, k, s_min, policy)?,
             ),
-            (None, None, Some(sharded)) => {
-                Ok(SupportProfile::from_sharded(sharded, k, s_min, policy)?)
-            }
-            (None, None, None) => Ok(SupportProfile::with_miner(miner, dataset, k, s_min)?),
+            (None, Some(sharded)) => Ok(SupportProfile::from_sharded(sharded, k, s_min, policy)?),
+            (None, None) => Ok(SupportProfile::with_miner(miner, dataset, k, s_min)?),
         }
     }
 

@@ -1,7 +1,8 @@
 //! Backend-parity contract: the CSR, bitmap and transaction-sharded dataset
-//! backends produce **identical supports** and **bit-identical** Monte-Carlo
-//! estimates for the same seed, at every thread count. This is what makes
-//! `--backend` a pure performance knob.
+//! backends — the sharded store resident or spilled under a 1-byte residency
+//! budget, in every fault mode — produce **identical supports** and
+//! **bit-identical** Monte-Carlo estimates for the same seed, at every thread
+//! count. This is what makes `--backend` a pure performance knob.
 //!
 //! CI runs this suite twice per kernel dispatch mode — with
 //! `SIGFIM_KERNELS=scalar` and `SIGFIM_KERNELS=auto` — and with test-harness
@@ -24,6 +25,7 @@ use sigfim_datasets::random::{
     BernoulliModel, NullModel, PlantedConfig, PlantedModel, PlantedPattern, SwapRandomizationModel,
 };
 use sigfim_datasets::sharded::ShardedBitmapDataset;
+use sigfim_datasets::spill::{ShardResidency, SpillMode};
 use sigfim_datasets::transaction::TransactionDataset;
 use sigfim_datasets::BitmapDataset;
 use sigfim_mining::miner::MinerKind;
@@ -55,6 +57,21 @@ enum View {
     Csr,
     Bitmap,
     Sharded,
+    /// A sharded store spilled under a 1-byte residency budget, so every
+    /// shard is faulted in through `mode` on every pass.
+    Spilled(SpillMode),
+}
+
+/// Every view, with a spilled leg per fault mode.
+fn all_views() -> Vec<View> {
+    let mut views = vec![View::Csr, View::Bitmap, View::Sharded];
+    views.extend(SpillMode::ALL.map(View::Spilled));
+    views
+}
+
+/// A residency that keeps no shard resident between uses.
+fn one_byte_residency() -> ShardResidency {
+    ShardResidency::with_budget(1)
 }
 
 /// Procedure 2 on `dataset` at `s_min = 6`, its floor profile mined by
@@ -65,12 +82,25 @@ fn procedure2_over(dataset: &TransactionDataset, view: View, threads: usize) -> 
     let bitmap = matches!(view, View::Bitmap).then(|| BitmapDataset::from_dataset(dataset));
     let sharded =
         matches!(view, View::Sharded).then(|| ShardedBitmapDataset::from_dataset(dataset));
+    let spilled = match view {
+        View::Spilled(mode) => Some(
+            ShardedBitmapDataset::spill_dataset(
+                dataset,
+                &ShardResidency {
+                    mode,
+                    ..one_byte_residency()
+                },
+            )
+            .unwrap(),
+        ),
+        _ => None,
+    };
     let profile = Procedure2::mine_profile(
         MinerKind::Apriori,
         dataset,
         bitmap.as_ref(),
         sharded.as_ref(),
-        None,
+        spilled.as_ref(),
         2,
         6,
         ExecutionPolicy::from_threads(threads),
@@ -112,7 +142,7 @@ fn backend_parity_threshold_estimates_at_1_2_and_8_threads() {
 fn backend_parity_procedure2_supports_and_family() {
     let dataset = planted_dataset(5);
     let csr = procedure2_over(&dataset, View::Csr, 1);
-    for view in [View::Bitmap, View::Sharded] {
+    for view in all_views() {
         let other = procedure2_over(&dataset, view, 1);
         assert_eq!(csr.s_star, other.s_star, "{view:?}");
         assert_eq!(
@@ -136,7 +166,7 @@ fn backend_parity_procedure2_sharded_at_1_2_and_8_counting_workers() {
     let reference = procedure2_over(&dataset, View::Sharded, 1);
     assert!(reference.s_star.is_some());
     for threads in THREAD_MATRIX {
-        for view in [View::Csr, View::Bitmap, View::Sharded] {
+        for view in all_views() {
             assert_eq!(
                 procedure2_over(&dataset, view, threads),
                 reference,
@@ -150,21 +180,24 @@ fn backend_parity_procedure2_sharded_at_1_2_and_8_counting_workers() {
 fn backend_parity_full_reports_at_1_2_and_8_threads() {
     let dataset = planted_dataset(23);
     let request = AnalysisRequest::for_k(2).with_replicates(24).with_seed(13);
-    let analyze = |backend: DatasetBackend, threads: usize| {
-        let engine = AnalysisEngine::from_dataset(dataset.clone())
+    let analyze = |backend: DatasetBackend, threads: usize, residency: Option<ShardResidency>| {
+        let mut engine = AnalysisEngine::from_dataset(dataset.clone())
             .unwrap()
-            .with_threads(threads)
-            .with_backend(backend);
-        report_of(engine, &request)
+            .with_threads(threads);
+        if let Some(residency) = residency {
+            engine = engine.with_shard_residency(residency);
+        }
+        report_of(engine.with_backend(backend), &request)
     };
-    let reference = analyze(DatasetBackend::Csr, 1);
+    let reference = analyze(DatasetBackend::Csr, 1, None);
     for threads in THREAD_MATRIX {
-        for backend in [
-            DatasetBackend::Csr,
-            DatasetBackend::Bitmap,
-            DatasetBackend::Sharded,
+        for (backend, residency) in [
+            (DatasetBackend::Csr, None),
+            (DatasetBackend::Bitmap, None),
+            (DatasetBackend::Sharded, None),
+            (DatasetBackend::Sharded, Some(one_byte_residency())),
         ] {
-            let report = analyze(backend, threads);
+            let report = analyze(backend, threads, residency);
             // Everything except the recorded backend parameter must agree bit
             // for bit.
             assert_eq!(report.threshold, reference.threshold);
@@ -221,16 +254,20 @@ fn backend_parity_swap_null_full_reports() {
         .with_replicates(12)
         .with_seed(8)
         .with_baseline(false);
-    let analyze = |backend: DatasetBackend| {
-        let engine = AnalysisEngine::with_swap_null(dataset.clone(), 3.0)
-            .unwrap()
-            .with_backend(backend);
-        report_of(engine, &request)
+    let analyze = |backend: DatasetBackend, residency: Option<ShardResidency>| {
+        let mut engine = AnalysisEngine::with_swap_null(dataset.clone(), 3.0).unwrap();
+        if let Some(residency) = residency {
+            engine = engine.with_shard_residency(residency);
+        }
+        report_of(engine.with_backend(backend), &request)
     };
-    let csr = analyze(DatasetBackend::Csr);
-    let bitmap = analyze(DatasetBackend::Bitmap);
+    let csr = analyze(DatasetBackend::Csr, None);
+    let bitmap = analyze(DatasetBackend::Bitmap, None);
     assert_eq!(csr.threshold, bitmap.threshold);
     assert_eq!(csr.procedure2, bitmap.procedure2);
+    let spilled = analyze(DatasetBackend::Sharded, Some(one_byte_residency()));
+    assert_eq!(csr.threshold, spilled.threshold);
+    assert_eq!(csr.procedure2, spilled.procedure2);
 }
 
 #[test]

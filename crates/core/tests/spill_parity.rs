@@ -15,32 +15,12 @@
 use sigfim_core::engine::{AnalysisEngine, AnalysisRequest, ThresholdStore};
 use sigfim_core::DatasetBackend;
 use sigfim_datasets::random::{BernoulliModel, PlantedConfig, PlantedModel, PlantedPattern};
-use sigfim_datasets::spill::{ShardResidency, SpillMode, MMAP_SUPPORTED};
+use sigfim_datasets::spill::{ShardResidency, SpillMode};
 use sigfim_datasets::transaction::TransactionDataset;
 use sigfim_mining::miner::MinerKind;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// A residency that explicitly disables spilling, pinning the reference
-/// engine to the fully-resident sharded view even when the process runs
-/// under `SIGFIM_RESIDENCY` (as the CI spill-parity step does).
-fn resident() -> ShardResidency {
-    ShardResidency {
-        budget_bytes: 0,
-        mode: SpillMode::Off,
-        dir: None,
-    }
-}
-
-/// The spill modes this process can exercise.
-fn modes() -> Vec<SpillMode> {
-    if MMAP_SUPPORTED {
-        vec![SpillMode::Mmap, SpillMode::Read]
-    } else {
-        vec![SpillMode::Read]
-    }
-}
 
 fn planted_dataset(seed: u64) -> TransactionDataset {
     let background = BernoulliModel::new(350, vec![0.06; 18]).unwrap();
@@ -66,10 +46,9 @@ fn spilled_engine_reports_match_resident_bit_for_bit() {
         let reference = AnalysisEngine::from_dataset(dataset.clone())
             .unwrap()
             .with_backend(DatasetBackend::Sharded)
-            .with_shard_residency(resident())
             .run(&request(miner))
             .unwrap();
-        for mode in modes() {
+        for mode in SpillMode::ALL {
             // Budget 1 forces every shard cold (evict-after-use); the huge
             // budget takes the all-pinned fast path. Both must agree with
             // the resident run at every worker count.
@@ -141,7 +120,7 @@ fn warm_alpha_beta_requery_on_a_spilled_engine_faults_nothing() {
     // mines its own profile from its own spilled shards.
     let store = ThresholdStore::new();
     for miner in [MinerKind::Apriori, MinerKind::ParEclat] {
-        for mode in modes() {
+        for mode in SpillMode::ALL {
             let mut engine = AnalysisEngine::from_dataset(dataset.clone())
                 .unwrap()
                 .with_backend(DatasetBackend::Sharded)
@@ -180,10 +159,11 @@ fn warm_alpha_beta_requery_on_a_spilled_engine_faults_nothing() {
 
 #[test]
 fn inactive_residency_keeps_the_view_resident() {
+    // An engine without a residency keeps its sharded store resident: there
+    // is no process-wide fallback that could spill it.
     let engine = AnalysisEngine::from_dataset(planted_dataset(9))
         .unwrap()
-        .with_backend(DatasetBackend::Sharded)
-        .with_shard_residency(resident());
+        .with_backend(DatasetBackend::Sharded);
     assert!(engine.spill_snapshot().is_none());
 }
 
@@ -253,17 +233,12 @@ fn spilled_analysis_peak_rss_is_bounded_by_the_residency_budget() {
     let mut reference_engine = AnalysisEngine::from_dataset(dataset.clone())
         .unwrap()
         .with_backend(DatasetBackend::Sharded)
-        .with_threads(1)
-        .with_shard_residency(resident());
+        .with_threads(1);
     let reference = reference_engine.run(&request).unwrap();
     let store = reference_engine.threshold_store();
     drop(reference_engine);
 
-    let mode = if MMAP_SUPPORTED {
-        SpillMode::Mmap
-    } else {
-        SpillMode::Read
-    };
+    let mode = SpillMode::default();
     let mut engine = AnalysisEngine::from_dataset(dataset)
         .unwrap()
         .with_backend(DatasetBackend::Sharded)

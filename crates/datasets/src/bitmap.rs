@@ -115,6 +115,45 @@ impl<'a> ColumnsRef<'a> {
     pub fn item_support(&self, item: ItemId) -> u64 {
         kernels().popcount_slice(self.column(item))
     }
+
+    /// Support of a sorted, duplicate-free itemset by AND + popcount over
+    /// its columns, rarest column first so sparse intersections can exit
+    /// early, reusing `scratch` as the word buffer. Empty itemsets get
+    /// support `t` by the usual convention.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an item id is out of range; debug-asserts sortedness.
+    pub fn itemset_support_with(&self, itemset: &[ItemId], scratch: &mut Vec<u64>) -> u64 {
+        debug_assert!(
+            itemset.windows(2).all(|w| w[0] < w[1]),
+            "itemset must be sorted and distinct"
+        );
+        match itemset {
+            [] => self.num_transactions as u64,
+            [single] => self.item_support(*single),
+            [a, b] => and_count(self.column(*a), self.column(*b)),
+            _ => {
+                // Rarest-first ordering makes the working set sparse as early as
+                // possible, which lets the early-exit below fire sooner. Each
+                // item's popcount is taken once up front — a sort key closure
+                // would re-walk whole columns on every comparison.
+                let mut order: Vec<(u64, ItemId)> =
+                    itemset.iter().map(|&i| (self.item_support(i), i)).collect();
+                order.sort_unstable();
+                scratch.clear();
+                scratch.extend_from_slice(self.column(order[0].1));
+                let mut support = order[0].0;
+                for &(_, item) in &order[1..] {
+                    if support == 0 {
+                        return 0;
+                    }
+                    support = and_count_into(scratch, self.column(item));
+                }
+                support
+            }
+        }
+    }
 }
 
 /// The wire format carries only the genuine state (`num_items`,
@@ -306,6 +345,11 @@ impl BitmapDataset {
         &self.bits
     }
 
+    /// The bit matrix, consumed (see [`BitmapDataset::words`]).
+    pub(crate) fn into_words(self) -> Vec<u64> {
+        self.bits
+    }
+
     /// This bitmap's columns as a borrowed [`ColumnsRef`] — the shared
     /// counting surface that also serves shards mapped back from spill files.
     #[inline]
@@ -455,34 +499,7 @@ impl BitmapDataset {
     /// Like [`BitmapDataset::itemset_support`], reusing a caller-provided word
     /// buffer so batch counting allocates nothing per candidate.
     pub fn itemset_support_with(&self, itemset: &[ItemId], scratch: &mut Vec<u64>) -> u64 {
-        debug_assert!(
-            itemset.windows(2).all(|w| w[0] < w[1]),
-            "itemset must be sorted and distinct"
-        );
-        match itemset {
-            [] => self.num_transactions as u64,
-            [single] => self.item_support(*single),
-            [a, b] => and_count(self.column(*a), self.column(*b)),
-            _ => {
-                // Rarest-first ordering makes the working set sparse as early as
-                // possible, which lets the early-exit below fire sooner. Each
-                // item's popcount is taken once up front — a sort key closure
-                // would re-walk whole columns on every comparison.
-                let mut order: Vec<(u64, ItemId)> =
-                    itemset.iter().map(|&i| (self.item_support(i), i)).collect();
-                order.sort_unstable();
-                scratch.clear();
-                scratch.extend_from_slice(self.column(order[0].1));
-                let mut support = order[0].0;
-                for &(_, item) in &order[1..] {
-                    if support == 0 {
-                        return 0;
-                    }
-                    support = and_count_into(scratch, self.column(item));
-                }
-                support
-            }
-        }
+        self.as_columns().itemset_support_with(itemset, scratch)
     }
 }
 

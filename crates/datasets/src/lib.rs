@@ -23,14 +23,14 @@
 //! * [`mod@sampler`] — the replicate sampling strategy selector
 //!   (`SIGFIM_SAMPLER=cellwise|gaps|auto`): the legacy cellwise sampler vs.
 //!   the geometric-jump sparse sampler with fused k = 1 counting.
-//! * [`sharded::ShardedBitmapDataset`] — the transaction axis split into
-//!   word-aligned row-range shards, so one dataset's counting pass can fan out
-//!   across workers with bit-identical results.
-//! * [`mod@spill`] — out-of-core shards: each shard spilled once to a
-//!   CRC-checked little-endian spill file and faulted back on demand (`mmap`
-//!   or portable read, `SIGFIM_SPILL`), with an LRU [`spill::ResidencySet`]
-//!   enforcing a byte budget (`SIGFIM_RESIDENCY`) over resident shards while
-//!   keeping every count bit-identical to the fully-resident path.
+//! * [`sharded::ShardedBitmapDataset`] — the one shard store: the transaction
+//!   axis split into word-aligned row-range shards, so one dataset's counting
+//!   pass can fan out across workers with bit-identical results. Its shards
+//!   stay resident, or — under a per-engine [`spill::ShardResidency`] — live
+//!   in CRC-checked little-endian spill files ([`mod@spill`]) faulted back on
+//!   demand (`mmap` or portable read) while an LRU [`spill::ResidencySet`]
+//!   enforces a byte budget over the loaded ones, keeping every count
+//!   bit-identical to the fully-resident store.
 //! * [`view::DatasetView`] — one borrowed handle over any representation, so
 //!   counting and mining code serves every backend through a single surface.
 //! * [`summary`] — dataset profiling: number of items `n`, number of transactions
@@ -99,10 +99,8 @@ pub use sampler::{
 };
 pub use sharded::ShardedBitmapDataset;
 pub use spill::{
-    configure_residency, configure_spill, parse_budget_bytes, process_residency_budget,
-    process_spill_mode, resolve_residency_request, resolve_spill_request, set_default_spill_dir,
-    spill_counters, ResidencySet, ShardGuard, ShardResidency, SpillCounters, SpillMode,
-    SpillSnapshot, SpilledShards, MMAP_SUPPORTED,
+    parse_budget_bytes, spill_counters, ResidencySet, ShardGuard, ShardResidency, SpillCounters,
+    SpillMode, SpillSnapshot, MMAP_SUPPORTED,
 };
 pub use summary::DatasetSummary;
 pub use transaction::{ItemId, TransactionDataset};

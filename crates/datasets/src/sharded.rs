@@ -1,11 +1,12 @@
-//! Transaction-sharded vertical bitmaps: [`ShardedBitmapDataset`].
+//! Transaction-sharded vertical bitmaps: [`ShardedBitmapDataset`], the one
+//! shard store.
 //!
 //! A [`crate::bitmap::BitmapDataset`] is one contiguous bit matrix, so a
 //! counting pass over it is inherently single-threaded: whoever holds the
 //! columns walks all `⌈t/64⌉` words of every column. This module splits the
 //! **transaction axis** into fixed-width, word-aligned row-range shards
 //! (shard width a multiple of 64, so no bit ever straddles two shards), each
-//! a self-contained `BitmapDataset` over the same item universe:
+//! a self-contained column matrix over the same item universe:
 //!
 //! * the support of any itemset is the **sum of its per-shard supports** —
 //!   exact integer addition, reduced in fixed shard order, so a sharded count
@@ -17,17 +18,26 @@
 //! * each shard's columns are small enough to stay cache-resident while a
 //!   whole candidate batch is counted against them (the default width targets
 //!   the L2 budget of [`SHARD_L2_BUDGET_BYTES`]), and per-shard memory is
-//!   bounded — the stepping stone to out-of-core and multi-node operation
-//!   named in the roadmap.
+//!   bounded.
+//!
+//! Shards sit in slots. A store built with [`ShardedBitmapDataset::from_dataset`]
+//! keeps every slot resident; one built with
+//! [`ShardedBitmapDataset::spill_dataset`] writes each shard to a spill file
+//! and keeps at most a [`ShardResidency`] budget's worth loaded, faulting cold
+//! shards back in on demand (see [`crate::spill`]). Consumers cannot tell the
+//! two apart: they read shards only through [`ShardedBitmapDataset::shard`]
+//! in the order of [`ShardedBitmapDataset::schedule`], and the per-shard and
+//! total item supports are computed once, at construction, for both.
 //!
 //! Select it with [`crate::bitmap::DatasetBackend::Sharded`]; `Auto` never
 //! picks it (sharding one dataset only pays when intra-dataset parallelism is
 //! wanted).
 
-use serde::{Deserialize, Serialize};
+use std::sync::RwLock;
 
 use crate::bitmap::{BitmapDataset, WORD_BITS};
-use crate::transaction::{ItemId, TransactionDataset};
+use crate::spill::{ShardGuard, ShardResidency, Slot, SpillFiles, SpillSnapshot, SpillWriter};
+use crate::transaction::{ItemId, TransactionDataset, TransactionId};
 
 /// Per-shard cache budget targeted by [`ShardedBitmapDataset::default_shard_rows`]:
 /// a shard's whole column set should fit comfortably in a typical 512 KiB–1 MiB
@@ -36,67 +46,34 @@ use crate::transaction::{ItemId, TransactionDataset};
 pub const SHARD_L2_BUDGET_BYTES: usize = 256 * 1024;
 
 /// A transactional dataset as word-aligned row-range shards of vertical
-/// bitmaps. See the [module docs](self).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// bitmaps, resident or spilled. See the [module docs](self).
+///
+/// Shared across workers by reference (or behind an `Arc`); a spilled
+/// store's spill directory and files are removed on drop.
+#[derive(Debug)]
 pub struct ShardedBitmapDataset {
     num_items: u32,
     num_transactions: usize,
     /// Transactions per shard — always a multiple of 64; the last shard holds
     /// the (possibly shorter) remainder.
     shard_rows: usize,
-    shards: Vec<BitmapDataset>,
-}
-
-/// Hand-written so deserialization enforces the same invariants
-/// [`ShardedBitmapDataset::with_shard_rows`] asserts — word-aligned shard
-/// width and shards whose shapes tile the declared `num_items ×
-/// num_transactions` matrix exactly. (Each shard's own bit/entry consistency
-/// is already enforced by [`BitmapDataset`]'s hardened deserializer.)
-impl Deserialize for ShardedBitmapDataset {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let field = |name: &'static str| {
-            value
-                .get_field(name)
-                .ok_or_else(|| serde::Error::missing_field("ShardedBitmapDataset", name))
-        };
-        let num_items = u32::from_value(field("num_items")?)?;
-        let num_transactions = usize::from_value(field("num_transactions")?)?;
-        let shard_rows = usize::from_value(field("shard_rows")?)?;
-        let shards = Vec::<BitmapDataset>::from_value(field("shards")?)?;
-        if shard_rows == 0 || !shard_rows.is_multiple_of(WORD_BITS) {
-            return Err(serde::Error::custom(format!(
-                "shard width {shard_rows} is not a positive multiple of {WORD_BITS}"
-            )));
-        }
-        if shards.len() != num_transactions.div_ceil(shard_rows).max(1) {
-            return Err(serde::Error::custom(format!(
-                "{} shards cannot tile {num_transactions} transactions at width {shard_rows}",
-                shards.len()
-            )));
-        }
-        for (index, shard) in shards.iter().enumerate() {
-            let start = index * shard_rows;
-            let rows = shard_rows.min(num_transactions - start.min(num_transactions));
-            if shard.num_items() != num_items || shard.num_transactions() != rows {
-                return Err(serde::Error::custom(format!(
-                    "shard {index} is {} items x {} transactions, expected {num_items} x {rows}",
-                    shard.num_items(),
-                    shard.num_transactions()
-                )));
-            }
-        }
-        Ok(ShardedBitmapDataset {
-            num_items,
-            num_transactions,
-            shard_rows,
-            shards,
-        })
-    }
+    entries: usize,
+    /// One slot per shard, in transaction order.
+    slots: Vec<RwLock<Slot>>,
+    /// Item supports of each shard, in fixed shard order — they seed
+    /// level-wise mining and rarest-first candidate ordering without
+    /// touching a shard.
+    per_shard_supports: Vec<Vec<u64>>,
+    /// Item supports summed over shards in fixed order.
+    totals: Vec<u64>,
+    /// The spill files behind the slots; `None` for a resident store.
+    spill: Option<SpillFiles>,
 }
 
 impl ShardedBitmapDataset {
     /// Shard `dataset` at the default width
-    /// ([`ShardedBitmapDataset::default_shard_rows`]).
+    /// ([`ShardedBitmapDataset::default_shard_rows`]), keeping every shard
+    /// resident.
     pub fn from_dataset(dataset: &TransactionDataset) -> Self {
         Self::with_shard_rows(
             dataset,
@@ -104,40 +81,108 @@ impl ShardedBitmapDataset {
         )
     }
 
-    /// Shard `dataset` into row ranges of `shard_rows` transactions each.
+    /// Shard `dataset` into resident row ranges of `shard_rows` transactions
+    /// each.
     ///
     /// # Panics
     ///
     /// Panics unless `shard_rows` is a positive multiple of 64 — word
     /// alignment is what guarantees no bit-column word straddles two shards.
     pub fn with_shard_rows(dataset: &TransactionDataset, shard_rows: usize) -> Self {
+        Self::build(dataset, shard_rows, None).expect("a resident store does no I/O")
+    }
+
+    /// Shard `dataset` at the default width (the width
+    /// [`ShardedBitmapDataset::from_dataset`] picks, so spilled and resident
+    /// stores shard identically) into spill files under `residency`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::DatasetError::Io`] when the spill directory or a
+    /// shard file cannot be written; nothing is left on disk then.
+    pub fn spill_dataset(
+        dataset: &TransactionDataset,
+        residency: &ShardResidency,
+    ) -> crate::Result<Self> {
+        let shard_rows = Self::default_shard_rows(dataset.num_items(), dataset.num_transactions());
+        Self::spill_dataset_with_rows(dataset, shard_rows, residency)
+    }
+
+    /// Like [`ShardedBitmapDataset::spill_dataset`], at an explicit shard
+    /// width.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::DatasetError::Io`] on spill-file I/O failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `shard_rows` is a positive multiple of 64.
+    pub fn spill_dataset_with_rows(
+        dataset: &TransactionDataset,
+        shard_rows: usize,
+        residency: &ShardResidency,
+    ) -> crate::Result<Self> {
+        Self::build(dataset, shard_rows, Some(residency))
+    }
+
+    /// The one construction loop: shards are materialized **one at a time**
+    /// from the CSR rows, then either kept (resident) or written to a spill
+    /// file and dropped — so a spilled store's peak construction memory is
+    /// one shard, never the whole bit matrix.
+    fn build(
+        dataset: &TransactionDataset,
+        shard_rows: usize,
+        residency: Option<&ShardResidency>,
+    ) -> crate::Result<Self> {
         assert!(
             shard_rows > 0 && shard_rows.is_multiple_of(WORD_BITS),
             "shard width must be a positive multiple of {WORD_BITS}, got {shard_rows}"
         );
         let num_items = dataset.num_items();
-        let t = dataset.num_transactions();
-        let num_shards = t.div_ceil(shard_rows).max(1);
-        let mut shards: Vec<BitmapDataset> = (0..num_shards)
-            .map(|shard| {
-                let start = shard * shard_rows;
-                let rows = shard_rows.min(t - start.min(t));
-                BitmapDataset::new(num_items, rows)
-            })
-            .collect();
-        for (tid, txn) in dataset.iter().enumerate() {
-            let shard = tid / shard_rows;
-            let local = (tid % shard_rows) as u32;
-            for &item in txn {
-                shards[shard].set(item, local);
+        let num_transactions = dataset.num_transactions();
+        let num_shards = num_transactions.div_ceil(shard_rows).max(1);
+        let mut writer = residency
+            .map(|residency| SpillWriter::create(residency, num_items))
+            .transpose()?;
+        let mut slots = Vec::with_capacity(num_shards);
+        let mut per_shard_supports = Vec::with_capacity(num_shards);
+        let mut totals = vec![0u64; num_items as usize];
+        let mut entries = 0;
+        let mut transactions = dataset.iter();
+        for index in 0..num_shards {
+            let rows = shard_rows.min(num_transactions - index * shard_rows);
+            let mut shard = BitmapDataset::new(num_items, rows);
+            for (local, txn) in transactions.by_ref().take(rows).enumerate() {
+                for &item in txn {
+                    shard.set(item, local as TransactionId);
+                }
             }
+            let supports = shard.item_supports();
+            for (total, partial) in totals.iter_mut().zip(&supports) {
+                *total += partial;
+            }
+            per_shard_supports.push(supports);
+            entries += shard.num_entries();
+            let slot = match writer.as_mut() {
+                Some(writer) => {
+                    writer.add_shard(&shard)?;
+                    Slot::Cold
+                }
+                None => Slot::Heap(shard.into_words()),
+            };
+            slots.push(RwLock::new(slot));
         }
-        ShardedBitmapDataset {
+        Ok(ShardedBitmapDataset {
             num_items,
-            num_transactions: t,
+            num_transactions,
             shard_rows,
-            shards,
-        }
+            entries,
+            slots,
+            per_shard_supports,
+            totals,
+            spill: writer.map(SpillWriter::finish),
+        })
     }
 
     /// The default shard width for a dataset of this shape: the largest
@@ -175,48 +220,39 @@ impl ShardedBitmapDataset {
     /// Number of shards (at least 1, even for an empty dataset).
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.slots.len()
     }
 
-    /// The shards, in transaction order: shard `i` covers tids
-    /// `i · shard_rows .. min((i+1) · shard_rows, t)`. Partial counts over
-    /// them must be reduced in this fixed order (every consumer in the
-    /// workspace does), which is what keeps sharded counting bit-identical
-    /// at any worker count.
+    /// Transactions in shard `index`: tids `index · shard_rows ..
+    /// min((index+1) · shard_rows, t)`.
     #[inline]
-    pub fn shards(&self) -> &[BitmapDataset] {
-        &self.shards
+    pub fn shard_transactions(&self, index: usize) -> usize {
+        self.shard_rows
+            .min(self.num_transactions - index * self.shard_rows)
     }
 
-    /// Total number of (transaction, item) incidences (`O(num_shards)`: each
-    /// shard's count is cached).
+    /// Total number of (transaction, item) incidences, recorded at
+    /// construction.
+    #[inline]
     pub fn num_entries(&self) -> usize {
-        self.shards.iter().map(BitmapDataset::num_entries).sum()
+        self.entries
     }
 
-    /// Support of a single item: sum of its per-shard column popcounts.
-    pub fn item_support(&self, item: ItemId) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| shard.item_support(item))
-            .sum()
+    /// Item supports of shard `index`, computed once at construction.
+    #[inline]
+    pub fn shard_item_supports(&self, index: usize) -> &[u64] {
+        &self.per_shard_supports[index]
     }
 
-    /// Supports of all items, indexed by item id (one pass per shard, reduced
-    /// in shard order).
+    /// Supports of all items, indexed by item id (summed over shards in
+    /// fixed order at construction).
     pub fn item_supports(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.num_items as usize];
-        for shard in &self.shards {
-            for (total, partial) in totals.iter_mut().zip(shard.item_supports()) {
-                *total += partial;
-            }
-        }
-        totals
+        self.totals.clone()
     }
 
     /// Maximum support of any single item.
     pub fn max_item_support(&self) -> u64 {
-        self.item_supports().into_iter().max().unwrap_or(0)
+        self.totals.iter().copied().max().unwrap_or(0)
     }
 
     /// Support of a sorted, duplicate-free itemset: sum of per-shard
@@ -227,9 +263,12 @@ impl ShardedBitmapDataset {
     /// Panics if an item id is out of range; debug-asserts sortedness.
     pub fn itemset_support(&self, itemset: &[ItemId]) -> u64 {
         let mut scratch = Vec::new();
-        self.shards
-            .iter()
-            .map(|shard| shard.itemset_support_with(itemset, &mut scratch))
+        (0..self.num_shards())
+            .map(|index| {
+                self.shard(index)
+                    .columns()
+                    .itemset_support_with(itemset, &mut scratch)
+            })
             .sum()
     }
 
@@ -238,31 +277,66 @@ impl ShardedBitmapDataset {
         if self.num_transactions == 0 {
             0.0
         } else {
-            self.num_entries() as f64 / self.num_transactions as f64
+            self.entries as f64 / self.num_transactions as f64
         }
     }
 
-    /// Fraction of set bits in the incidence matrix; zero for a degenerate
-    /// matrix.
-    pub fn density(&self) -> f64 {
-        let cells = self.num_items as usize * self.num_transactions;
-        if cells == 0 {
-            0.0
-        } else {
-            self.num_entries() as f64 / cells as f64
+    /// Whether every shard can be loaded at once: always for a resident
+    /// store, and for a spilled one when its budget covers every shard's
+    /// payload — then a depth-first miner may pin all shards and never
+    /// refault.
+    pub fn budget_holds_all(&self) -> bool {
+        self.spill.as_ref().is_none_or(SpillFiles::budget_holds_all)
+    }
+
+    /// The order a counting pass should visit shards in: `0..n` for a
+    /// resident store; resident shards first, then cold ones (each group
+    /// ascending) for a spilled one. Recomputed per batch, so a level-wise
+    /// miner touches every cold shard exactly once per level. Partial counts
+    /// must still be reduced in fixed shard order.
+    pub fn schedule(&self) -> Vec<usize> {
+        match &self.spill {
+            None => (0..self.num_shards()).collect(),
+            Some(spill) => spill.schedule(),
         }
     }
 
-    /// Convert back to the CSR representation (shards concatenated in
-    /// transaction order).
-    pub fn to_transaction_dataset(&self) -> TransactionDataset {
-        let mut transactions: Vec<Vec<ItemId>> = Vec::with_capacity(self.num_transactions);
-        for shard in &self.shards {
-            let csr = shard.to_transaction_dataset();
-            transactions.extend(csr.iter().map(<[ItemId]>::to_vec));
+    /// Pin shard `index` for counting, faulting it in if it is cold. The
+    /// returned guard keeps the shard loaded (eviction skips pinned slots)
+    /// until dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a spilled shard's file has been deleted or corrupted
+    /// underneath the process (see [`crate::spill`]).
+    pub fn shard(&self, index: usize) -> ShardGuard<'_> {
+        let rows = self.shard_transactions(index);
+        loop {
+            let slot = self.slots[index]
+                .read()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            if slot.is_loaded() {
+                if let Some(spill) = &self.spill {
+                    spill.touch(index);
+                }
+                return ShardGuard::new(slot, self.num_items, rows);
+            }
+            drop(slot);
+            self.spill
+                .as_ref()
+                .expect("only spilled shards go cold")
+                .fault_in(&self.slots, index);
+            // Loop: re-acquire the read guard. In the tiny window between
+            // the fault's write guard and this read, another worker's
+            // eviction scan may have re-evicted the shard; then we simply
+            // fault it in again.
         }
-        TransactionDataset::from_transactions(self.num_items, transactions)
-            .expect("shard items are in range by construction")
+    }
+
+    /// The spill residency state and lifetime counters; `None` for a
+    /// resident store.
+    pub fn spill_snapshot(&self) -> Option<SpillSnapshot> {
+        self.spill.as_ref().map(SpillFiles::snapshot)
     }
 }
 
@@ -293,20 +367,34 @@ mod tests {
     #[test]
     fn sharding_is_word_aligned_and_covers_every_transaction() {
         let csr = sample(300);
+        let bitmap = BitmapDataset::from_dataset(&csr);
         let sharded = ShardedBitmapDataset::with_shard_rows(&csr, 128);
         assert_eq!(sharded.num_shards(), 3);
         assert_eq!(sharded.shard_rows(), 128);
         assert_eq!(
-            sharded
-                .shards()
-                .iter()
-                .map(BitmapDataset::num_transactions)
+            (0..3)
+                .map(|index| sharded.shard_transactions(index))
                 .collect::<Vec<_>>(),
             vec![128, 128, 44]
         );
         assert_eq!(sharded.num_transactions(), 300);
         assert_eq!(sharded.num_entries(), csr.num_entries());
-        assert_eq!(sharded.to_transaction_dataset(), csr);
+        // Shard `i` holds the words of tids `i·128 ..`, i.e. two words per
+        // column of the unsharded bitmap.
+        for index in 0..sharded.num_shards() {
+            let guard = sharded.shard(index);
+            assert_eq!(
+                guard.columns().num_transactions(),
+                sharded.shard_transactions(index)
+            );
+            for item in 0..csr.num_items() {
+                let words = guard.columns().column(item);
+                assert_eq!(
+                    words,
+                    &bitmap.column(item)[2 * index..2 * index + words.len()]
+                );
+            }
+        }
     }
 
     #[test]
@@ -324,8 +412,13 @@ mod tests {
                     "itemset {itemset:?} at width {shard_rows}"
                 );
             }
-            assert!((sharded.density() - bitmap.density()).abs() < 1e-12);
             assert!((sharded.avg_transaction_len() - bitmap.avg_transaction_len()).abs() < 1e-12);
+            assert!(sharded.budget_holds_all());
+            assert!(sharded.spill_snapshot().is_none());
+            assert_eq!(
+                sharded.schedule(),
+                (0..sharded.num_shards()).collect::<Vec<_>>()
+            );
         }
     }
 
@@ -370,52 +463,15 @@ mod tests {
         assert_eq!(empty.num_shards(), 1);
         assert_eq!(empty.num_transactions(), 0);
         assert_eq!(empty.num_entries(), 0);
-        assert_eq!(empty.density(), 0.0);
         assert_eq!(empty.avg_transaction_len(), 0.0);
         assert_eq!(empty.itemset_support(&[0, 1]), 0);
         assert_eq!(empty.max_item_support(), 0);
-        assert_eq!(empty.to_transaction_dataset().num_transactions(), 0);
+        assert_eq!(empty.shard(0).columns().num_transactions(), 0);
     }
 
     #[test]
     #[should_panic(expected = "multiple of 64")]
     fn unaligned_widths_are_rejected() {
         let _ = ShardedBitmapDataset::with_shard_rows(&sample(10), 100);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let sharded = ShardedBitmapDataset::with_shard_rows(&sample(130), 64);
-        let value = serde::Serialize::to_value(&sharded);
-        let back: ShardedBitmapDataset = serde::Deserialize::from_value(&value).unwrap();
-        assert_eq!(back, sharded);
-    }
-
-    #[test]
-    fn deserialization_enforces_constructor_invariants() {
-        // The hand-written deserializer must reject everything
-        // `with_shard_rows` would have refused to build: unaligned widths and
-        // shards that do not tile the declared matrix.
-        let sharded = ShardedBitmapDataset::with_shard_rows(&sample(130), 64);
-        let tamper = |field: &str, replacement: serde::Value| {
-            let serde::Value::Map(mut fields) = serde::Serialize::to_value(&sharded) else {
-                panic!("sharded datasets serialize as maps");
-            };
-            for (key, value) in &mut fields {
-                if key == field {
-                    *value = replacement.clone();
-                }
-            }
-            <ShardedBitmapDataset as serde::Deserialize>::from_value(&serde::Value::Map(fields))
-        };
-        let unaligned = tamper("shard_rows", serde::Value::U64(100)).unwrap_err();
-        assert!(unaligned.to_string().contains("multiple of 64"));
-        let wrong_tiling = tamper("num_transactions", serde::Value::U64(9_999)).unwrap_err();
-        assert!(wrong_tiling.to_string().contains("tile"));
-        let wrong_universe = tamper("num_items", serde::Value::U64(99)).unwrap_err();
-        assert!(wrong_universe.to_string().contains("expected 99"));
-        assert!(
-            <ShardedBitmapDataset as serde::Deserialize>::from_value(&serde::Value::Null).is_err()
-        );
     }
 }

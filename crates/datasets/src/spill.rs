@@ -1,28 +1,26 @@
-//! Out-of-core shard spilling: cold shards on disk, an LRU residency set,
-//! and on-demand fault-in for counting.
+//! Out-of-core shards: spill files, an LRU residency set, and on-demand
+//! fault-in for counting.
 //!
-//! A [`crate::sharded::ShardedBitmapDataset`] keeps every shard resident,
-//! which caps dataset size at RAM. This module moves the *bytes* without
-//! changing the *math*: each shard's column matrix is written once to a
-//! per-shard **spill file** (a word-exact little-endian dump behind a
-//! CRC-checked header, the same framing discipline as `sigfim-store`), and a
-//! [`ResidencySet`] enforces a byte budget over which shards are currently
-//! loaded. A counting pass acquires shards through [`SpilledShards::shard`],
-//! which returns a pinned [`ShardGuard`]; cold shards are faulted back in
-//! either by
+//! A [`crate::sharded::ShardedBitmapDataset`] built with a
+//! [`ShardResidency`] writes each shard's column matrix once to a per-shard
+//! **spill file** (a word-exact little-endian dump behind a CRC-checked
+//! header, the same framing discipline as `sigfim-store`) instead of keeping
+//! it in memory, and a [`ResidencySet`] enforces a byte budget over which
+//! shards are currently loaded. Counting passes pin shards through
+//! [`crate::sharded::ShardedBitmapDataset::shard`], which returns a
+//! [`ShardGuard`]; cold shards are faulted back in either by
 //!
 //! * `mmap` — the payload is mapped read-only straight out of the file
 //!   (64-bit little-endian unix targets; a small `SAFETY:`-documented wrapper
 //!   over the `mmap`/`munmap`/`madvise` syscalls, no `libc` crate), with
 //!   `madvise(WILLNEED)` sequential prefetch on refaults, or
-//! * `read` — a portable buffered read into an owned heap vector,
+//! * `read` — a portable buffered read into an owned heap vector.
 //!
-//! selected by `SIGFIM_SPILL=mmap|read|off` / [`configure_spill`]. The
-//! budget comes from `--shard-residency` / `SIGFIM_RESIDENCY` /
-//! [`configure_residency`]. Shard contents and the fixed-order exact
-//! reduction are untouched, so every count — and therefore every report —
-//! is **bit-identical** to the fully-resident path at any budget, worker
-//! count, or kernel.
+//! The fault path is [`ShardResidency::mode`], which defaults to what the
+//! platform supports. Shard contents and the fixed-order exact reduction are
+//! untouched, so every count — and therefore every report — is
+//! **bit-identical** to the fully-resident store at any budget, worker count,
+//! or kernel.
 //!
 //! Eviction never races a counting worker: a worker pins its shard with a
 //! read guard, and the evictor only reclaims slots it can `try_write` —
@@ -33,14 +31,11 @@ use std::fs::{self, File};
 use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock, RwLockReadGuard};
+use std::sync::{Mutex, RwLock, RwLockReadGuard};
 
-use serde::{Deserialize, Serialize};
 use sigfim_store::crc32;
 
-use crate::bitmap::{BitmapDataset, ColumnsRef, WORD_BITS};
-use crate::sharded::ShardedBitmapDataset;
-use crate::transaction::TransactionDataset;
+use crate::bitmap::{BitmapDataset, ColumnsRef};
 
 /// Whether the direct-mapping fast path is available on this target: the
 /// spill payload is a little-endian `u64` dump, so mapping it in place
@@ -53,44 +48,36 @@ pub const MMAP_SUPPORTED: bool = cfg!(all(
 ));
 
 /// How cold shards are faulted back from their spill files.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpillMode {
     /// Map the spill file read-only and count straight out of the page
     /// cache ([`MMAP_SUPPORTED`] targets; elsewhere behaves like `Read`).
-    #[default]
     Mmap,
     /// Portable fallback: read the payload into an owned heap buffer.
     Read,
-    /// Disable spilling entirely — shards stay resident even when a
-    /// residency budget is configured.
-    Off,
 }
 
 impl SpillMode {
-    /// Every mode, for configuration surfaces and test matrices.
-    pub const ALL: [SpillMode; 3] = [SpillMode::Mmap, SpillMode::Read, SpillMode::Off];
+    /// Every mode, for test matrices.
+    pub const ALL: [SpillMode; 2] = [SpillMode::Mmap, SpillMode::Read];
 
-    /// Environment-variable / command-line name.
+    /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
             SpillMode::Mmap => "mmap",
             SpillMode::Read => "read",
-            SpillMode::Off => "off",
         }
     }
 }
 
-impl std::str::FromStr for SpillMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mmap" => Ok(SpillMode::Mmap),
-            "read" => Ok(SpillMode::Read),
-            "off" => Ok(SpillMode::Off),
-            other => Err(format!(
-                "unknown spill mode `{other}` (expected mmap, read or off)"
-            )),
+/// The platform's fault path: `mmap` where the direct mapping is sound, the
+/// portable read path elsewhere.
+impl Default for SpillMode {
+    fn default() -> Self {
+        if MMAP_SUPPORTED {
+            SpillMode::Mmap
+        } else {
+            SpillMode::Read
         }
     }
 }
@@ -99,108 +86,6 @@ impl std::fmt::Display for SpillMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// The platform default: `mmap` where the direct mapping is sound, the
-/// portable read path elsewhere.
-fn default_spill_mode() -> SpillMode {
-    if MMAP_SUPPORTED {
-        SpillMode::Mmap
-    } else {
-        SpillMode::Read
-    }
-}
-
-/// Collapse [`SpillMode::Mmap`] to [`SpillMode::Read`] on targets where the
-/// in-place mapping is unsound; explicit modes pass through.
-fn effective_mode(mode: SpillMode) -> SpillMode {
-    match mode {
-        SpillMode::Mmap if !MMAP_SUPPORTED => SpillMode::Read,
-        other => other,
-    }
-}
-
-/// Explicit process-wide mode override installed by [`configure_spill`];
-/// read before the environment variable by [`process_spill_mode`].
-static MODE_OVERRIDE: OnceLock<SpillMode> = OnceLock::new();
-
-static PROCESS_MODE: OnceLock<SpillMode> = OnceLock::new();
-
-/// The process-wide spill mode: the [`configure_spill`] override if
-/// installed, otherwise `SIGFIM_SPILL` if set (one of `mmap`, `read`, `off`),
-/// otherwise the platform default (`mmap` where supported). The environment
-/// variable is read once, at the first call.
-///
-/// # Panics
-///
-/// Panics (at first use) when `SIGFIM_SPILL` names an unknown mode.
-/// Front-ends should call [`configure_spill`] at startup to turn that panic
-/// into a readable argument error.
-pub fn process_spill_mode() -> SpillMode {
-    *PROCESS_MODE.get_or_init(|| match MODE_OVERRIDE.get().copied() {
-        Some(mode) => mode,
-        None => match std::env::var("SIGFIM_SPILL") {
-            Ok(value) => value
-                .parse::<SpillMode>()
-                .unwrap_or_else(|error| panic!("SIGFIM_SPILL: {error}")),
-            Err(_) => default_spill_mode(),
-        },
-    })
-}
-
-/// Pure startup-validation step: combine an optional `--spill` flag value
-/// with an optional `SIGFIM_SPILL` environment value into the mode the
-/// process should use. The flag wins, but a *conflicting* pair (both set,
-/// different modes) is an error rather than a silent preference, mirroring
-/// [`crate::sampler::resolve_sampler_request`].
-pub fn resolve_spill_request(
-    flag: Option<SpillMode>,
-    env: Option<&str>,
-) -> Result<SpillMode, String> {
-    let env_mode = match env {
-        Some(value) => Some(
-            value
-                .parse::<SpillMode>()
-                .map_err(|error| format!("SIGFIM_SPILL: {error}"))?,
-        ),
-        None => None,
-    };
-    match (flag, env_mode) {
-        (Some(flag), Some(env)) if flag != env => Err(format!(
-            "--spill {flag} conflicts with SIGFIM_SPILL={env}; unset one or make them agree"
-        )),
-        (Some(flag), _) => Ok(flag),
-        (None, Some(env)) => Ok(env),
-        (None, None) => Ok(default_spill_mode()),
-    }
-}
-
-/// Install `mode` as the process-wide spill mode, resolving it immediately.
-/// Fails (instead of silently losing) when the mode already resolved to
-/// something else.
-pub fn install_spill_mode(mode: SpillMode) -> Result<SpillMode, String> {
-    let installed = *MODE_OVERRIDE.get_or_init(|| mode);
-    if installed != mode {
-        return Err(format!(
-            "spill mode already configured as `{installed}`; cannot re-configure as `{mode}`"
-        ));
-    }
-    let resolved = process_spill_mode();
-    if resolved != mode {
-        return Err(format!(
-            "spill mode already resolved to `{resolved}` before configuration; \
-             configure spilling before the first sharded view is built"
-        ));
-    }
-    Ok(resolved)
-}
-
-/// Startup entry point for the CLI and server: validate an (optional) flag
-/// against `SIGFIM_SPILL` and install the result as the process-wide mode.
-pub fn configure_spill(flag: Option<SpillMode>) -> Result<SpillMode, String> {
-    let env = std::env::var("SIGFIM_SPILL").ok();
-    let requested = resolve_spill_request(flag, env.as_deref())?;
-    install_spill_mode(requested)
 }
 
 /// Parse a byte budget: a plain integer with an optional `k`/`m`/`g`
@@ -220,162 +105,37 @@ pub fn parse_budget_bytes(value: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("byte budget `{value}` overflows u64"))
 }
 
-/// Explicit process-wide residency-budget override installed by
-/// [`configure_residency`]; read before the environment variable by
-/// [`process_residency_budget`].
-static BUDGET_OVERRIDE: OnceLock<Option<u64>> = OnceLock::new();
-
-static PROCESS_BUDGET: OnceLock<Option<u64>> = OnceLock::new();
-
-/// The process-wide shard-residency budget in bytes: the
-/// [`configure_residency`] override if installed, otherwise
-/// `SIGFIM_RESIDENCY` if set, otherwise `None` (shards stay fully resident).
-/// The environment variable is read once, at the first call.
-///
-/// # Panics
-///
-/// Panics (at first use) when `SIGFIM_RESIDENCY` is not a valid byte budget.
-/// Front-ends should call [`configure_residency`] at startup to turn that
-/// panic into a readable argument error.
-pub fn process_residency_budget() -> Option<u64> {
-    *PROCESS_BUDGET.get_or_init(|| match BUDGET_OVERRIDE.get().copied() {
-        Some(budget) => budget,
-        None => match std::env::var("SIGFIM_RESIDENCY") {
-            Ok(value) => Some(
-                parse_budget_bytes(&value)
-                    .unwrap_or_else(|error| panic!("SIGFIM_RESIDENCY: {error}")),
-            ),
-            Err(_) => None,
-        },
-    })
-}
-
-/// Pure startup-validation step for the residency budget: the
-/// `--shard-residency` flag wins, but a conflicting pair (both set,
-/// different values) is an error, mirroring [`resolve_spill_request`].
-pub fn resolve_residency_request(
-    flag: Option<u64>,
-    env: Option<&str>,
-) -> Result<Option<u64>, String> {
-    let env_budget = match env {
-        Some(value) => {
-            Some(parse_budget_bytes(value).map_err(|error| format!("SIGFIM_RESIDENCY: {error}"))?)
-        }
-        None => None,
-    };
-    match (flag, env_budget) {
-        (Some(flag), Some(env)) if flag != env => Err(format!(
-            "--shard-residency {flag} conflicts with SIGFIM_RESIDENCY={env}; \
-             unset one or make them agree"
-        )),
-        (Some(flag), _) => Ok(Some(flag)),
-        (None, env) => Ok(env),
-    }
-}
-
-/// Install `budget` as the process-wide residency budget, resolving it
-/// immediately; fails when the budget already resolved differently.
-pub fn install_residency_budget(budget: Option<u64>) -> Result<Option<u64>, String> {
-    let installed = *BUDGET_OVERRIDE.get_or_init(|| budget);
-    if installed != budget {
-        return Err(format!(
-            "shard-residency budget already configured as `{installed:?}`; \
-             cannot re-configure as `{budget:?}`"
-        ));
-    }
-    let resolved = process_residency_budget();
-    if resolved != budget {
-        return Err(format!(
-            "shard-residency budget already resolved to `{resolved:?}` before \
-             configuration; configure residency before the first sharded view is built"
-        ));
-    }
-    Ok(resolved)
-}
-
-/// Startup entry point for the CLI and server: validate `--shard-residency`
-/// against `SIGFIM_RESIDENCY` and install the result process-wide.
-pub fn configure_residency(flag: Option<u64>) -> Result<Option<u64>, String> {
-    let env = std::env::var("SIGFIM_RESIDENCY").ok();
-    let requested = resolve_residency_request(flag, env.as_deref())?;
-    install_residency_budget(requested)
-}
-
-/// Process-wide default directory for spill files, installed once by the
-/// server (`--data-dir <dir>/spill`) or left to the system temp dir.
-static SPILL_DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Install the process-wide default spill directory (each spilled dataset
-/// creates a unique subdirectory underneath and removes it on drop). Fails
-/// when a different default was already installed.
-pub fn set_default_spill_dir(dir: impl Into<PathBuf>) -> Result<(), String> {
-    let dir = dir.into();
-    let installed = SPILL_DIR.get_or_init(|| dir.clone());
-    if *installed != dir {
-        return Err(format!(
-            "spill directory already configured as `{}`; cannot re-configure as `{}`",
-            installed.display(),
-            dir.display()
-        ));
-    }
-    Ok(())
-}
-
-/// The process-wide default spill directory: the [`set_default_spill_dir`]
-/// value if installed, otherwise `<system temp>/sigfim-spill`.
+/// The spill directory used when a [`ShardResidency`] names none:
+/// `<system temp>/sigfim-spill`.
 pub fn default_spill_dir() -> PathBuf {
-    match SPILL_DIR.get() {
-        Some(dir) => dir.clone(),
-        None => std::env::temp_dir().join("sigfim-spill"),
-    }
+    std::env::temp_dir().join("sigfim-spill")
 }
 
-/// A per-engine shard-residency policy: spill shards of sharded views to
-/// `dir` and keep at most `budget_bytes` of them resident, faulting via
-/// `mode`. Engines without one fall back to the process-wide configuration
-/// ([`ShardResidency::from_process_config`]).
+/// A shard-residency policy: spill the shards of a sharded store to `dir`
+/// and keep at most `budget_bytes` of them resident, faulting via `mode`.
+/// Engines carry one as a plain value; an engine without one keeps its
+/// shards resident.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardResidency {
     /// Maximum bytes of shard payload kept resident at once. Pinned shards
     /// are never evicted, so the hard ceiling is `budget_bytes` plus one
     /// shard per concurrently-counting worker.
     pub budget_bytes: u64,
-    /// How cold shards are faulted back in; [`SpillMode::Off`] disables
-    /// spilling (shards stay resident).
+    /// How cold shards are faulted back in.
     pub mode: SpillMode,
     /// Base directory for spill files; `None` means [`default_spill_dir`].
     pub dir: Option<PathBuf>,
 }
 
 impl ShardResidency {
-    /// A policy with the given budget, the process-wide spill mode, and the
+    /// A policy with the given budget, the platform's fault path, and the
     /// default spill directory.
     pub fn with_budget(budget_bytes: u64) -> Self {
         ShardResidency {
             budget_bytes,
-            mode: process_spill_mode(),
+            mode: SpillMode::default(),
             dir: None,
         }
-    }
-
-    /// The policy implied by the process-wide configuration: `Some` exactly
-    /// when a residency budget is configured and spilling is not `off`.
-    pub fn from_process_config() -> Option<Self> {
-        let budget_bytes = process_residency_budget()?;
-        let mode = process_spill_mode();
-        if mode == SpillMode::Off {
-            return None;
-        }
-        Some(ShardResidency {
-            budget_bytes,
-            mode,
-            dir: None,
-        })
-    }
-
-    /// Whether this policy actually spills (mode is not `off`).
-    pub fn is_active(&self) -> bool {
-        self.mode != SpillMode::Off
     }
 }
 
@@ -514,7 +274,7 @@ mod mmap_region {
     /// (everything past the fixed header) is exposed as a `u64` slice:
     /// mappings are page-aligned and the header length is a multiple of 8,
     /// so the payload pointer is always 8-byte aligned.
-    pub(super) struct MmapRegion {
+    pub(crate) struct MmapRegion {
         ptr: *mut c_void,
         len: usize,
         /// Number of `u64` payload words after the header.
@@ -622,7 +382,7 @@ use mmap_region::MmapRegion;
 
 /// LRU bookkeeping over the fixed shard order: which shards are loaded, how
 /// many payload bytes they hold, and when each was last touched. Purely a
-/// policy object — the slots themselves live in [`SpilledShards`]; keeping
+/// policy object — the slots themselves live in the sharded store; keeping
 /// the bookkeeping separate makes the LRU order unit-testable without disk.
 #[derive(Debug)]
 pub struct ResidencySet {
@@ -748,10 +508,10 @@ impl ResidencySet {
 }
 
 // ---------------------------------------------------------------------------
-// Spilled shards
+// Spill files behind a sharded store
 // ---------------------------------------------------------------------------
 
-/// Process-wide spill telemetry (all spilled datasets), surfaced by the
+/// Process-wide spill telemetry (all spilled stores), surfaced by the
 /// service's `/v1/stats`.
 static GLOBAL_SPILLED_DATASETS: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_SPILLED_SHARDS: AtomicU64 = AtomicU64::new(0);
@@ -797,57 +557,31 @@ struct ShardMeta {
 
 /// Where one shard's column words currently live.
 #[derive(Debug)]
-enum Slot {
+pub(crate) enum Slot {
     /// On disk only.
     Cold,
-    /// Owned heap copy (the portable `read` fault path).
+    /// Owned heap words: a resident shard, or one faulted in by the
+    /// portable `read` path.
     Heap(Vec<u64>),
     /// Mapped read-only straight out of the spill file.
     #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
     Mapped(MmapRegion),
 }
 
-fn slot_words(slot: &Slot) -> Option<&[u64]> {
-    match slot {
-        Slot::Cold => None,
-        Slot::Heap(words) => Some(words),
-        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
-        Slot::Mapped(region) => Some(region.words()),
+impl Slot {
+    fn words(&self) -> Option<&[u64]> {
+        match self {
+            Slot::Cold => None,
+            Slot::Heap(words) => Some(words),
+            #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+            Slot::Mapped(region) => Some(region.words()),
+        }
     }
-}
 
-/// A [`crate::sharded::ShardedBitmapDataset`] whose shard bytes live in
-/// per-shard spill files, with at most a budget's worth resident at a time.
-/// Same shard widths, same fixed reduction order, same counts — see the
-/// [module docs](self).
-///
-/// Shared across workers behind an `Arc`; the spill directory and its files
-/// are removed on drop.
-#[derive(Debug)]
-pub struct SpilledShards {
-    num_items: u32,
-    num_transactions: usize,
-    shard_rows: usize,
-    entries: usize,
-    /// Effective fault mode (never `Mmap` on targets without support).
-    mode: SpillMode,
-    /// This dataset's private spill directory (removed on drop).
-    dir: PathBuf,
-    shards: Vec<ShardMeta>,
-    slots: Vec<RwLock<Slot>>,
-    /// Per-shard "payload CRC verified at least once" markers: the mmap path
-    /// verifies lazily on first fault (the verification read doubles as the
-    /// initial prefetch) and trusts the page cache afterwards.
-    verified: Vec<AtomicBool>,
-    residency: ResidencySet,
-    /// Per-shard item supports in fixed shard order, computed once at spill
-    /// time — they seed level-wise mining and rarest-first candidate
-    /// ordering without faulting anything in.
-    per_shard_supports: Vec<Vec<u64>>,
-    /// Item supports summed over shards in fixed order.
-    totals: Vec<u64>,
-    evictions: AtomicU64,
-    refaults: AtomicU64,
+    /// Whether the slot holds words (a guard may pin it).
+    pub(crate) fn is_loaded(&self) -> bool {
+        self.words().is_some()
+    }
 }
 
 /// A pinned, loaded shard: holds the slot's read guard, so the evictor's
@@ -858,10 +592,23 @@ pub struct ShardGuard<'a> {
     rows: usize,
 }
 
-impl ShardGuard<'_> {
+impl<'a> ShardGuard<'a> {
+    /// Pin a loaded slot holding a `num_items × rows` column matrix.
+    pub(crate) fn new(slot: RwLockReadGuard<'a, Slot>, num_items: u32, rows: usize) -> Self {
+        debug_assert!(slot.is_loaded(), "a ShardGuard only pins loaded slots");
+        ShardGuard {
+            slot,
+            num_items,
+            rows,
+        }
+    }
+
     /// The pinned shard's bit-columns.
     pub fn columns(&self) -> ColumnsRef<'_> {
-        let words = slot_words(&self.slot).expect("a ShardGuard always pins a loaded slot");
+        let words = self
+            .slot
+            .words()
+            .expect("a ShardGuard always pins a loaded slot");
         ColumnsRef::new(self.num_items, self.rows, words)
     }
 }
@@ -875,34 +622,39 @@ impl std::fmt::Debug for ShardGuard<'_> {
     }
 }
 
-/// Accumulates shard spill files during construction.
-struct SpillBuilder {
-    dir: PathBuf,
-    num_items: u32,
-    num_transactions: usize,
-    shard_rows: usize,
-    num_shards: usize,
-    entries: usize,
-    metas: Vec<ShardMeta>,
-    per_shard_supports: Vec<Vec<u64>>,
-    totals: Vec<u64>,
+/// A store's private spill directory. Removed with everything in it on
+/// drop — both when the store goes away and when construction fails
+/// half-way, so a failed spill leaves nothing behind.
+#[derive(Debug)]
+struct SpillDir(PathBuf);
+
+impl Drop for SpillDir {
+    fn drop(&mut self) {
+        // Spill files are scratch tied to their store's lifetime; best-effort
+        // cleanup (a dirty temp dir is not worth failing a drop over).
+        let _ = fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Sequence number making concurrent spill directories unique within a
 /// process (the directory name also carries the pid).
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl SpillBuilder {
-    fn create(
-        num_items: u32,
-        num_transactions: usize,
-        shard_rows: usize,
-        residency: &ShardResidency,
-    ) -> crate::Result<Self> {
-        assert!(
-            shard_rows > 0 && shard_rows.is_multiple_of(WORD_BITS),
-            "shard width must be a positive multiple of {WORD_BITS}, got {shard_rows}"
-        );
+/// Writes a store's shard spill files, one shard at a time, during
+/// construction.
+#[derive(Debug)]
+pub(crate) struct SpillWriter {
+    dir: SpillDir,
+    num_items: u32,
+    mode: SpillMode,
+    budget_bytes: u64,
+    metas: Vec<ShardMeta>,
+}
+
+impl SpillWriter {
+    /// Create a fresh spill directory under `residency.dir` for a store over
+    /// `num_items` items.
+    pub(crate) fn create(residency: &ShardResidency, num_items: u32) -> crate::Result<Self> {
         let base = residency.dir.clone().unwrap_or_else(default_spill_dir);
         fs::create_dir_all(&base)?;
         let dir = base.join(format!(
@@ -911,31 +663,21 @@ impl SpillBuilder {
             SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         fs::create_dir_all(&dir)?;
-        Ok(SpillBuilder {
-            dir,
+        Ok(SpillWriter {
+            dir: SpillDir(dir),
             num_items,
-            num_transactions,
-            shard_rows,
-            num_shards: num_transactions.div_ceil(shard_rows).max(1),
-            entries: 0,
+            mode: residency.mode,
+            budget_bytes: residency.budget_bytes,
             metas: Vec::new(),
-            per_shard_supports: Vec::new(),
-            totals: vec![0u64; num_items as usize],
         })
     }
 
-    /// Rows of shard `index` (the last shard may be shorter).
-    fn rows_of(&self, index: usize) -> usize {
-        let start = index * self.shard_rows;
-        self.shard_rows
-            .min(self.num_transactions - start.min(self.num_transactions))
-    }
-
-    /// Write shard `metas.len()`'s spill file and fold its supports in.
-    fn add_shard(&mut self, shard: &BitmapDataset) -> crate::Result<()> {
-        let index = self.metas.len();
-        debug_assert_eq!(shard.num_transactions(), self.rows_of(index));
-        let path = self.dir.join(format!("shard-{index:06}.bin"));
+    /// Write the next shard's spill file.
+    pub(crate) fn add_shard(&mut self, shard: &BitmapDataset) -> crate::Result<()> {
+        let path = self
+            .dir
+            .0
+            .join(format!("shard-{:06}.bin", self.metas.len()));
         let (file_len, _crc) = write_spill_file(
             &path,
             self.num_items,
@@ -950,40 +692,28 @@ impl SpillBuilder {
             file_len,
             bytes: (words * 8) as u64,
         });
-        self.entries += shard.num_entries();
-        let supports = shard.item_supports();
-        for (total, partial) in self.totals.iter_mut().zip(&supports) {
-            *total += partial;
-        }
-        self.per_shard_supports.push(supports);
         Ok(())
     }
 
-    fn finish(self, residency: &ShardResidency) -> SpilledShards {
-        debug_assert_eq!(self.metas.len(), self.num_shards);
+    /// Every shard is written: hand the files over to their store.
+    pub(crate) fn finish(self) -> SpillFiles {
         let num_shards = self.metas.len();
         GLOBAL_SPILLED_DATASETS.fetch_add(1, Ordering::Relaxed);
         GLOBAL_SPILLED_SHARDS.fetch_add(num_shards as u64, Ordering::Relaxed);
-        SpilledShards {
+        SpillFiles {
             num_items: self.num_items,
-            num_transactions: self.num_transactions,
-            shard_rows: self.shard_rows,
-            entries: self.entries,
-            mode: effective_mode(residency.mode),
-            dir: self.dir,
-            shards: self.metas,
-            slots: (0..num_shards).map(|_| RwLock::new(Slot::Cold)).collect(),
+            mode: self.mode,
+            _dir: self.dir,
+            metas: self.metas,
             verified: (0..num_shards).map(|_| AtomicBool::new(false)).collect(),
-            residency: ResidencySet::new(num_shards, residency.budget_bytes),
-            per_shard_supports: self.per_shard_supports,
-            totals: self.totals,
+            residency: ResidencySet::new(num_shards, self.budget_bytes),
             evictions: AtomicU64::new(0),
             refaults: AtomicU64::new(0),
         }
     }
 }
 
-/// A point-in-time view of one spilled dataset's residency state.
+/// A point-in-time view of one spilled store's residency state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillSnapshot {
     /// Total shards (resident + cold).
@@ -994,249 +724,81 @@ pub struct SpillSnapshot {
     pub resident_bytes: u64,
     /// The configured residency budget.
     pub budget_bytes: u64,
-    /// Evictions over this dataset's lifetime.
+    /// Evictions over this store's lifetime.
     pub evictions: u64,
-    /// Fault-ins over this dataset's lifetime.
+    /// Fault-ins over this store's lifetime.
     pub refaults: u64,
 }
 
-impl SpilledShards {
-    /// Spill `dataset` at the default shard width
-    /// ([`ShardedBitmapDataset::default_shard_rows`], the same width
-    /// [`ShardedBitmapDataset::from_dataset`] picks, so spilled and resident
-    /// views shard identically).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::DatasetError::Io`] when the spill directory or a
-    /// shard file cannot be written.
-    pub fn spill_dataset(
-        dataset: &TransactionDataset,
-        residency: &ShardResidency,
-    ) -> crate::Result<Self> {
-        let shard_rows = ShardedBitmapDataset::default_shard_rows(
-            dataset.num_items(),
-            dataset.num_transactions(),
-        );
-        Self::spill_dataset_with_rows(dataset, shard_rows, residency)
-    }
+/// The spill side of a sharded store: its shard files, the residency set
+/// over them, and the fault/evict machinery that moves shards between the
+/// files and the store's slots.
+#[derive(Debug)]
+pub(crate) struct SpillFiles {
+    num_items: u32,
+    mode: SpillMode,
+    /// Owns the spill directory: removed, files and all, on drop.
+    _dir: SpillDir,
+    metas: Vec<ShardMeta>,
+    /// Per-shard "payload CRC verified at least once" markers: the mmap path
+    /// verifies lazily on first fault (the verification read doubles as the
+    /// initial prefetch) and trusts the page cache afterwards.
+    verified: Vec<AtomicBool>,
+    residency: ResidencySet,
+    evictions: AtomicU64,
+    refaults: AtomicU64,
+}
 
-    /// Spill `dataset` at an explicit shard width. Shards are materialized
-    /// **one at a time** from the CSR rows — peak construction memory is one
-    /// shard, never the whole bit matrix (the point of spilling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::DatasetError::Io`] on spill-file I/O failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shard_rows` is a positive multiple of 64, like
-    /// [`ShardedBitmapDataset::with_shard_rows`].
-    pub fn spill_dataset_with_rows(
-        dataset: &TransactionDataset,
-        shard_rows: usize,
-        residency: &ShardResidency,
-    ) -> crate::Result<Self> {
-        let num_items = dataset.num_items();
-        let mut builder =
-            SpillBuilder::create(num_items, dataset.num_transactions(), shard_rows, residency)?;
-        let num_shards = builder.num_shards;
-        let mut current = BitmapDataset::new(num_items, builder.rows_of(0));
-        let mut built = 0usize;
-        for (tid, txn) in dataset.iter().enumerate() {
-            let shard = tid / shard_rows;
-            while built < shard {
-                builder.add_shard(&current)?;
-                built += 1;
-                current.reset(num_items, builder.rows_of(built));
-            }
-            let local = (tid % shard_rows) as u32;
-            for &item in txn {
-                current.set(item, local);
-            }
-        }
-        while built < num_shards {
-            builder.add_shard(&current)?;
-            built += 1;
-            if built < num_shards {
-                current.reset(num_items, builder.rows_of(built));
-            }
-        }
-        Ok(builder.finish(residency))
-    }
-
-    /// Spill an already-built sharded view (same widths, same contents).
-    /// Mostly for parity tests; production construction goes through
-    /// [`SpilledShards::spill_dataset`] to avoid materializing the matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::DatasetError::Io`] on spill-file I/O failure.
-    pub fn spill_sharded(
-        sharded: &ShardedBitmapDataset,
-        residency: &ShardResidency,
-    ) -> crate::Result<Self> {
-        let mut builder = SpillBuilder::create(
-            sharded.num_items(),
-            sharded.num_transactions(),
-            sharded.shard_rows(),
-            residency,
-        )?;
-        for shard in sharded.shards() {
-            builder.add_shard(shard)?;
-        }
-        Ok(builder.finish(residency))
-    }
-
-    /// Number of items in the universe.
-    #[inline]
-    pub fn num_items(&self) -> u32 {
-        self.num_items
-    }
-
-    /// Number of transactions (summed over shards).
-    #[inline]
-    pub fn num_transactions(&self) -> usize {
-        self.num_transactions
-    }
-
-    /// The shard width (transactions per shard, multiple of 64).
-    #[inline]
-    pub fn shard_rows(&self) -> usize {
-        self.shard_rows
-    }
-
-    /// Number of shards (at least 1, even for an empty dataset).
-    #[inline]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Transactions in shard `index`.
-    #[inline]
-    pub fn shard_transactions(&self, index: usize) -> usize {
-        self.shards[index].rows
-    }
-
-    /// Total (transaction, item) incidences, recorded at spill time.
-    #[inline]
-    pub fn num_entries(&self) -> usize {
-        self.entries
-    }
-
-    /// The effective fault mode (`mmap` or `read`).
-    #[inline]
-    pub fn mode(&self) -> SpillMode {
-        self.mode
-    }
-
-    /// The residency budget in bytes.
-    #[inline]
-    pub fn budget_bytes(&self) -> u64 {
-        self.residency.budget_bytes()
-    }
-
-    /// Whether the budget covers every shard's payload at once — if so, a
-    /// depth-first miner may pin all shards and never refault.
-    pub fn budget_holds_all(&self) -> bool {
-        let total: u64 = self.shards.iter().map(|meta| meta.bytes).sum();
+impl SpillFiles {
+    /// Whether the budget covers every shard's payload at once.
+    pub(crate) fn budget_holds_all(&self) -> bool {
+        let total: u64 = self.metas.iter().map(|meta| meta.bytes).sum();
         total <= self.residency.budget_bytes()
     }
 
-    /// Item supports of shard `index` (fixed shard order), computed once at
-    /// spill time.
-    #[inline]
-    pub fn shard_item_supports(&self, index: usize) -> &[u64] {
-        &self.per_shard_supports[index]
-    }
-
-    /// Supports of all items, summed over shards in fixed order.
-    pub fn item_supports(&self) -> Vec<u64> {
-        self.totals.clone()
-    }
-
-    /// Maximum support of any single item.
-    pub fn max_item_support(&self) -> u64 {
-        self.totals.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Average transaction length; zero for an empty dataset.
-    pub fn avg_transaction_len(&self) -> f64 {
-        if self.num_transactions == 0 {
-            0.0
-        } else {
-            self.entries as f64 / self.num_transactions as f64
-        }
-    }
-
-    /// The order a counting pass should visit shards in: resident first,
-    /// then cold (each group ascending). Recomputed per batch, so a
-    /// level-wise miner touches every cold shard exactly once per level.
-    pub fn schedule(&self) -> Vec<usize> {
+    /// Resident shards first, then cold ones (each group ascending).
+    pub(crate) fn schedule(&self) -> Vec<usize> {
         self.residency.resident_first_schedule()
     }
 
-    /// Pin shard `index` for counting, faulting it in if cold. The returned
-    /// guard keeps the shard resident (eviction skips pinned slots) until
-    /// dropped.
+    /// Record a use of resident shard `index`.
+    pub(crate) fn touch(&self, index: usize) {
+        self.residency.touch(index);
+    }
+
+    /// Fault shard `index` into `slots[index]` under its write lock, then
+    /// shed colder shards until the budget holds again.
     ///
     /// # Panics
     ///
     /// Panics when the shard's spill file has been deleted or corrupted
     /// underneath the process — that is unrecoverable data loss, not a
     /// recoverable condition for a counting worker.
-    pub fn shard(&self, index: usize) -> ShardGuard<'_> {
-        loop {
-            {
-                let slot = self.slots[index]
-                    .read()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner());
-                if slot_words(&slot).is_some() {
-                    self.residency.touch(index);
-                    return ShardGuard {
-                        slot,
-                        num_items: self.num_items,
-                        rows: self.shards[index].rows,
-                    };
-                }
-            }
-            self.fault_in(index);
-            // Loop: re-acquire the read guard. In the tiny window between
-            // releasing the write guard and re-reading, another worker's
-            // eviction scan may have re-evicted the shard; then we simply
-            // fault it in again.
-        }
-    }
-
-    /// Fault shard `index` in under its write lock, then shed colder shards
-    /// until the budget holds again.
-    fn fault_in(&self, index: usize) {
-        let mut slot = self.slots[index]
+    pub(crate) fn fault_in(&self, slots: &[RwLock<Slot>], index: usize) {
+        let mut slot = slots[index]
             .write()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if slot_words(&slot).is_some() {
+        if slot.is_loaded() {
             return; // another worker faulted it in while we waited
         }
-        let loaded = self.load_slot(index).unwrap_or_else(|error| {
+        *slot = self.load_slot(index).unwrap_or_else(|error| {
             panic!(
                 "sigfim spill: cannot fault shard {index} back in: {error} \
                  (spill files are live state while their dataset is loaded)"
             )
         });
-        *slot = loaded;
-        self.residency.note_loaded(index, self.shards[index].bytes);
+        self.residency.note_loaded(index, self.metas[index].bytes);
         self.refaults.fetch_add(1, Ordering::Relaxed);
         GLOBAL_REFAULTS.fetch_add(1, Ordering::Relaxed);
         // Evict while still holding `index`'s write guard: other workers'
         // evictors see the slot write-locked and skip it, so the shard we
         // just paid to load cannot be stolen before the caller pins it.
-        self.evict_over_budget(index);
+        self.evict_over_budget(slots, index);
     }
 
     /// Evict cold-able shards (LRU first, never `protect`, never a pinned
     /// slot) until resident bytes fit the budget or no victim remains.
-    fn evict_over_budget(&self, protect: usize) {
+    fn evict_over_budget(&self, slots: &[RwLock<Slot>], protect: usize) {
         if !self.residency.over_budget() {
             return;
         }
@@ -1244,12 +806,12 @@ impl SpilledShards {
             if !self.residency.over_budget() {
                 break;
             }
-            let Ok(mut slot) = self.slots[victim].try_write() else {
+            let Ok(mut slot) = slots[victim].try_write() else {
                 // Pinned by a counting worker's read guard (or being loaded):
                 // never evict a shard mid-batch; try the next-coldest.
                 continue;
             };
-            if slot_words(&slot).is_some() {
+            if slot.is_loaded() {
                 *slot = Slot::Cold;
                 self.residency.note_evicted(victim);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -1258,9 +820,9 @@ impl SpilledShards {
         }
     }
 
-    /// Load shard `index`'s payload according to the effective mode.
+    /// Load shard `index`'s payload according to the fault mode.
     fn load_slot(&self, index: usize) -> io::Result<Slot> {
-        let meta = &self.shards[index];
+        let meta = &self.metas[index];
         match self.mode {
             #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
             SpillMode::Mmap => {
@@ -1296,9 +858,9 @@ impl SpilledShards {
     }
 
     /// Current residency state and lifetime counters.
-    pub fn snapshot(&self) -> SpillSnapshot {
+    pub(crate) fn snapshot(&self) -> SpillSnapshot {
         SpillSnapshot {
-            shards: self.shards.len(),
+            shards: self.metas.len(),
             resident_shards: self.residency.resident_count(),
             resident_bytes: self.residency.resident_bytes(),
             budget_bytes: self.residency.budget_bytes(),
@@ -1308,20 +870,11 @@ impl SpilledShards {
     }
 }
 
-impl Drop for SpilledShards {
-    fn drop(&mut self) {
-        // Spill files are scratch tied to this dataset's lifetime; best-effort
-        // cleanup (a dirty temp dir is not worth failing a drop over).
-        for meta in &self.shards {
-            let _ = fs::remove_file(&meta.path);
-        }
-        let _ = fs::remove_dir(&self.dir);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::ShardedBitmapDataset;
+    use crate::transaction::TransactionDataset;
 
     fn sample(t: usize) -> TransactionDataset {
         TransactionDataset::from_transactions(
@@ -1345,21 +898,13 @@ mod tests {
         }
     }
 
-    fn modes() -> Vec<SpillMode> {
-        if MMAP_SUPPORTED {
-            vec![SpillMode::Mmap, SpillMode::Read]
-        } else {
-            vec![SpillMode::Read]
-        }
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        for mode in SpillMode::ALL {
-            assert_eq!(mode.name().parse::<SpillMode>().unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert!("disk".parse::<SpillMode>().is_err());
+    fn spilled(csr: &TransactionDataset, rows: usize, budget: u64) -> ShardedBitmapDataset {
+        ShardedBitmapDataset::spill_dataset_with_rows(
+            csr,
+            rows,
+            &test_residency(budget, SpillMode::Read),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1373,43 +918,6 @@ mod tests {
         assert!(parse_budget_bytes("8q").is_err());
         assert!(parse_budget_bytes("m").is_err());
         assert!(parse_budget_bytes("99999999999999999999g").is_err());
-    }
-
-    #[test]
-    fn startup_validation_resolves_flag_and_env() {
-        assert_eq!(
-            resolve_spill_request(Some(SpillMode::Read), None).unwrap(),
-            SpillMode::Read
-        );
-        assert_eq!(
-            resolve_spill_request(None, Some("off")).unwrap(),
-            SpillMode::Off
-        );
-        assert_eq!(
-            resolve_spill_request(None, None).unwrap(),
-            default_spill_mode()
-        );
-        let conflict = resolve_spill_request(Some(SpillMode::Mmap), Some("read")).unwrap_err();
-        assert!(conflict.contains("--spill mmap"), "{conflict}");
-        assert!(conflict.contains("SIGFIM_SPILL=read"), "{conflict}");
-        assert!(resolve_spill_request(None, Some("disk")).is_err());
-
-        assert_eq!(
-            resolve_residency_request(Some(1024), None).unwrap(),
-            Some(1024)
-        );
-        assert_eq!(
-            resolve_residency_request(None, Some("4m")).unwrap(),
-            Some(4 << 20)
-        );
-        assert_eq!(resolve_residency_request(None, None).unwrap(), None);
-        assert_eq!(
-            resolve_residency_request(Some(2048), Some("2k")).unwrap(),
-            Some(2048)
-        );
-        let conflict = resolve_residency_request(Some(1), Some("2")).unwrap_err();
-        assert!(conflict.contains("--shard-residency 1"), "{conflict}");
-        assert!(resolve_residency_request(None, Some("x")).is_err());
     }
 
     #[test]
@@ -1455,34 +963,36 @@ mod tests {
     #[test]
     fn spilled_counts_match_the_resident_shards() {
         let csr = sample(300);
-        let sharded = ShardedBitmapDataset::with_shard_rows(&csr, 64);
-        for mode in modes() {
+        let resident = ShardedBitmapDataset::with_shard_rows(&csr, 64);
+        for mode in SpillMode::ALL {
             // A budget of one shard's payload forces eviction traffic.
-            let one_shard = (sharded.shards()[0].words().len() * 8) as u64;
-            let spilled =
-                SpilledShards::spill_dataset_with_rows(&csr, 64, &test_residency(one_shard, mode))
-                    .unwrap();
-            assert_eq!(spilled.num_shards(), sharded.num_shards());
-            assert_eq!(spilled.num_entries(), sharded.num_entries());
-            assert_eq!(spilled.item_supports(), sharded.item_supports());
-            assert_eq!(spilled.max_item_support(), sharded.max_item_support());
+            let one_shard = (csr.num_items() as u64) * 8;
+            let spilled = ShardedBitmapDataset::spill_dataset_with_rows(
+                &csr,
+                64,
+                &test_residency(one_shard, mode),
+            )
+            .unwrap();
+            assert_eq!(spilled.num_shards(), resident.num_shards());
+            assert_eq!(spilled.num_entries(), resident.num_entries());
+            assert_eq!(spilled.item_supports(), resident.item_supports());
+            assert_eq!(spilled.max_item_support(), resident.max_item_support());
             for index in 0..spilled.num_shards() {
                 assert_eq!(
                     spilled.shard_item_supports(index),
-                    sharded.shards()[index].item_supports(),
+                    resident.shard_item_supports(index),
                     "shard {index} supports ({mode})"
                 );
-                let guard = spilled.shard(index);
-                let columns = guard.columns();
+                let (guard, expected) = (spilled.shard(index), resident.shard(index));
                 for item in 0..csr.num_items() {
                     assert_eq!(
-                        columns.column(item),
-                        sharded.shards()[index].column(item),
+                        guard.columns().column(item),
+                        expected.columns().column(item),
                         "shard {index} item {item} ({mode})"
                     );
                 }
             }
-            let snapshot = spilled.snapshot();
+            let snapshot = spilled.spill_snapshot().unwrap();
             assert!(snapshot.refaults >= spilled.num_shards() as u64);
             assert!(snapshot.evictions > 0, "1-shard budget must evict ({mode})");
             assert!(!spilled.budget_holds_all());
@@ -1490,53 +1000,28 @@ mod tests {
     }
 
     #[test]
-    fn spill_sharded_matches_spill_dataset() {
-        let csr = sample(200);
-        let sharded = ShardedBitmapDataset::with_shard_rows(&csr, 128);
-        let a =
-            SpilledShards::spill_sharded(&sharded, &test_residency(1, SpillMode::Read)).unwrap();
-        let b =
-            SpilledShards::spill_dataset_with_rows(&csr, 128, &test_residency(1, SpillMode::Read))
-                .unwrap();
-        assert_eq!(a.num_shards(), b.num_shards());
-        for index in 0..a.num_shards() {
-            let (ga, gb) = (a.shard(index), b.shard(index));
-            for item in 0..csr.num_items() {
-                assert_eq!(ga.columns().column(item), gb.columns().column(item));
-            }
-        }
-    }
-
-    #[test]
     fn generous_budget_keeps_everything_resident() {
         let csr = sample(256);
-        let spilled = SpilledShards::spill_dataset_with_rows(
-            &csr,
-            64,
-            &test_residency(1 << 20, SpillMode::Read),
-        )
-        .unwrap();
+        let spilled = spilled(&csr, 64, 1 << 20);
         assert!(spilled.budget_holds_all());
         for index in 0..spilled.num_shards() {
             let _ = spilled.shard(index);
         }
-        let snapshot = spilled.snapshot();
+        let snapshot = spilled.spill_snapshot().unwrap();
         assert_eq!(snapshot.resident_shards, spilled.num_shards());
         assert_eq!(snapshot.evictions, 0);
         // Refaulting a resident shard is free (touch only).
         let _ = spilled.shard(0);
-        assert_eq!(spilled.snapshot().refaults, snapshot.refaults);
+        assert_eq!(
+            spilled.spill_snapshot().unwrap().refaults,
+            snapshot.refaults
+        );
     }
 
     #[test]
     fn schedule_visits_resident_shards_first() {
         let csr = sample(300);
-        let spilled = SpilledShards::spill_dataset_with_rows(
-            &csr,
-            64,
-            &test_residency(1 << 20, SpillMode::Read),
-        )
-        .unwrap();
+        let spilled = spilled(&csr, 64, 1 << 20);
         assert_eq!(spilled.schedule(), vec![0, 1, 2, 3, 4]);
         let _ = spilled.shard(3);
         let _ = spilled.shard(1);
@@ -1546,12 +1031,9 @@ mod tests {
     #[test]
     fn pinned_shards_survive_eviction_pressure() {
         let csr = sample(300);
-        let spilled =
-            SpilledShards::spill_dataset_with_rows(&csr, 64, &test_residency(1, SpillMode::Read))
-                .unwrap();
-        let expected: Vec<u64> = ShardedBitmapDataset::with_shard_rows(&csr, 64).shards()[0]
-            .column(2)
-            .to_vec();
+        let spilled = spilled(&csr, 64, 1);
+        let resident = ShardedBitmapDataset::with_shard_rows(&csr, 64);
+        let expected = resident.shard(0).columns().column(2).to_vec();
         let pinned = spilled.shard(0);
         // Fault every other shard through a 1-byte budget: shard 0 is the LRU
         // victim every time, but the held guard must keep it loaded.
@@ -1559,15 +1041,12 @@ mod tests {
             let _ = spilled.shard(index);
         }
         assert_eq!(pinned.columns().column(2), expected.as_slice());
-        let snapshot = spilled.snapshot();
-        assert!(snapshot.evictions > 0);
+        assert!(spilled.spill_snapshot().unwrap().evictions > 0);
         drop(pinned);
-        // Unpinned now: the next over-budget fault may evict shard 0.
+        // Unpinned now: the next over-budget fault may evict shard 0, so
+        // only the shard just faulted stays resident.
         let _ = spilled.shard(1);
-        assert!(
-            spilled.snapshot().resident_bytes
-                <= spilled.budget_bytes().max(spilled.shards[1].bytes)
-        );
+        assert!(spilled.spill_snapshot().unwrap().resident_shards <= 1);
     }
 
     #[test]
@@ -1606,8 +1085,9 @@ mod tests {
     #[test]
     fn empty_and_single_shard_datasets_spill_cleanly() {
         let empty = TransactionDataset::empty(4);
-        for mode in modes() {
-            let spilled = SpilledShards::spill_dataset(&empty, &test_residency(0, mode)).unwrap();
+        for mode in SpillMode::ALL {
+            let spilled =
+                ShardedBitmapDataset::spill_dataset(&empty, &test_residency(0, mode)).unwrap();
             assert_eq!(spilled.num_shards(), 1);
             assert_eq!(spilled.num_transactions(), 0);
             assert_eq!(spilled.num_entries(), 0);
@@ -1616,7 +1096,8 @@ mod tests {
         }
         let tiny = sample(10);
         let spilled =
-            SpilledShards::spill_dataset(&tiny, &test_residency(0, SpillMode::Read)).unwrap();
+            ShardedBitmapDataset::spill_dataset(&tiny, &test_residency(0, SpillMode::Read))
+                .unwrap();
         assert_eq!(spilled.num_shards(), 1);
         assert_eq!(spilled.item_supports(), tiny.item_supports());
     }
@@ -1631,7 +1112,8 @@ mod tests {
         )
         .unwrap();
         let spilled =
-            SpilledShards::spill_dataset(&csr, &test_residency(1 << 30, SpillMode::Read)).unwrap();
+            ShardedBitmapDataset::spill_dataset(&csr, &test_residency(1 << 30, SpillMode::Read))
+                .unwrap();
         assert_eq!(
             spilled.shard_rows(),
             ShardedBitmapDataset::default_shard_rows(2048, 4096)
@@ -1642,34 +1124,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn drop_removes_the_spill_directory() {
-        let csr = sample(100);
-        let spilled =
-            SpilledShards::spill_dataset_with_rows(&csr, 64, &test_residency(0, SpillMode::Read))
-                .unwrap();
-        let dir = spilled.dir.clone();
-        assert!(dir.is_dir());
-        drop(spilled);
-        assert!(!dir.exists());
+    /// A spill base directory private to one test, so it can assert the
+    /// directory ends up empty.
+    fn private_residency(name: &str) -> ShardResidency {
+        let base = std::env::temp_dir()
+            .join("sigfim-spill-tests")
+            .join(format!("{name}-{}", std::process::id()));
+        ShardResidency {
+            budget_bytes: 0,
+            mode: SpillMode::Read,
+            dir: Some(base),
+        }
+    }
+
+    fn is_empty_dir(dir: &Path) -> bool {
+        fs::read_dir(dir).unwrap().next().is_none()
     }
 
     #[test]
-    fn process_config_surface() {
-        // `from_process_config` depends on process-global OnceLocks shared
-        // with other tests, so only the invariants stable under any order are
-        // asserted here; the pure resolvers have their own tests above.
-        let policy = ShardResidency::with_budget(4096);
-        assert_eq!(policy.budget_bytes, 4096);
-        assert!(policy.dir.is_none());
-        if let Some(config) = ShardResidency::from_process_config() {
-            assert!(config.is_active());
-        }
-        let counters = spill_counters();
-        let _ =
-            SpilledShards::spill_dataset(&sample(50), &test_residency(0, SpillMode::Read)).unwrap();
+    fn drop_removes_the_spill_directory() {
+        let residency = private_residency("drop");
+        let spilled =
+            ShardedBitmapDataset::spill_dataset_with_rows(&sample(100), 64, &residency).unwrap();
+        let base = residency.dir.clone().unwrap();
+        assert!(!is_empty_dir(&base));
+        drop(spilled);
+        assert!(is_empty_dir(&base));
+        fs::remove_dir(&base).unwrap();
+    }
+
+    #[test]
+    fn an_abandoned_spill_removes_its_directory() {
+        // A shard write that fails half-way returns through `?` and drops
+        // the writer without `finish`: the files written so far must go too.
+        let residency = private_residency("abandoned");
+        let mut writer = SpillWriter::create(&residency, 6).unwrap();
+        writer
+            .add_shard(&BitmapDataset::from_dataset(&sample(64)))
+            .unwrap();
+        let dir = writer.dir.0.clone();
+        assert!(dir.join("shard-000000.bin").is_file());
+        drop(writer);
+        assert!(!dir.exists());
+        let base = residency.dir.unwrap();
+        assert!(is_empty_dir(&base));
+        fs::remove_dir(&base).unwrap();
+    }
+
+    #[test]
+    fn spilling_advances_the_process_counters() {
+        let before = spill_counters();
+        let _ = spilled(&sample(50), 64, 0);
         let after = spill_counters();
-        assert!(after.spilled_datasets > counters.spilled_datasets);
-        assert!(after.spilled_shards > counters.spilled_shards);
+        assert!(after.spilled_datasets > before.spilled_datasets);
+        assert!(after.spilled_shards > before.spilled_shards);
+        assert_eq!(ShardResidency::with_budget(4096).mode, SpillMode::default());
     }
 }

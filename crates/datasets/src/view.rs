@@ -20,7 +20,8 @@ pub enum DatasetView<'a> {
     Csr(&'a TransactionDataset),
     /// The vertical bitmap representation.
     Bitmap(&'a BitmapDataset),
-    /// The transaction-sharded vertical bitmap representation.
+    /// The transaction-sharded vertical bitmap representation, resident or
+    /// spilled.
     Sharded(&'a ShardedBitmapDataset),
 }
 

@@ -1,13 +1,13 @@
 //! `env-read-centralized`: `SIGFIM_*` environment variables are read only in
 //! the designated config modules.
 //!
-//! Runtime configuration changes dispatch (kernels, samplers, spilling), and
-//! dispatch changes must stay visible in one place per axis — a stray
+//! Runtime configuration changes dispatch (kernels, samplers), and dispatch
+//! changes must stay visible in one place per axis — a stray
 //! `std::env::var("SIGFIM_...")` deep inside a caller bypasses the startup
-//! validation (`configure_kernels` / `configure_sampler` / `configure_spill` /
-//! `configure_residency`) that turns misconfiguration into a clean error
-//! instead of a panic at first dispatch. Everything else must go through the
-//! typed accessors those modules export.
+//! validation (`configure_kernels` / `configure_sampler`) that turns
+//! misconfiguration into a clean error instead of a panic at first dispatch.
+//! Everything else must go through the typed accessors those modules export.
+//! Shard residency is a per-engine value, so the spill module is not a seam.
 
 use super::report;
 use crate::scan::SourceFile;
@@ -16,10 +16,9 @@ use crate::Diagnostic;
 const RULE: &str = "env-read-centralized";
 
 /// The designated config seams (the only files allowed to read `SIGFIM_*`).
-const ALLOWED_FILES: [&str; 3] = [
+const ALLOWED_FILES: [&str; 2] = [
     "crates/datasets/src/sampler.rs",
     "crates/datasets/src/kernels.rs",
-    "crates/datasets/src/spill.rs",
 ];
 
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {

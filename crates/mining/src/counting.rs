@@ -20,7 +20,6 @@ use sigfim_datasets::bitmap::{
     and_count, and_count_into, BitmapDataset, ColumnsRef, DatasetBackend,
 };
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::SpilledShards;
 use sigfim_datasets::transaction::{ItemId, TransactionDataset, TransactionId};
 use sigfim_datasets::view::DatasetView;
 use sigfim_datasets::ResolvedBackend;
@@ -345,9 +344,9 @@ pub fn count_candidates_bitmap_with_supports(
 
 /// The representation-free core of [`count_candidates_bitmap_with_supports`]:
 /// counts against any borrowed [`ColumnsRef`], so the same loop serves an
-/// owned [`BitmapDataset`], one shard of a sharded view, or a shard mapped
-/// back from a spill file (the spilled path counts straight out of the
-/// mapping, no copy). `item_supports` are the supports *within these columns*
+/// owned [`BitmapDataset`] and one pinned shard of a sharded store (a shard
+/// mapped back from a spill file is counted straight out of the mapping, no
+/// copy). `item_supports` are the supports *within these columns*
 /// (used for rarest-first ordering and as singleton answers).
 pub fn count_candidates_columns_with_supports(
     columns: ColumnsRef<'_>,
@@ -617,11 +616,12 @@ impl SupportProfile {
         Ok(Self::from_itemsets(k, floor, mined))
     }
 
-    /// Mine the profile from a transaction-sharded bitmap: the level-wise
-    /// sweep of [`crate::sharded::mine_k_sharded`], whose per-level counting
-    /// pass fans each shard out to a worker under `policy`. Identical
-    /// profiles at any shard width and worker count (partial counts are exact
-    /// and reduced in fixed shard order).
+    /// Mine the profile from a transaction-sharded bitmap, resident or
+    /// spilled: the level-wise sweep of [`crate::sharded::mine_k_sharded`],
+    /// whose per-level counting pass fans each shard out to a worker under
+    /// `policy`. Identical profiles at any shard width, worker count and
+    /// residency budget (partial counts are exact and reduced in fixed shard
+    /// order).
     ///
     /// # Errors
     ///
@@ -633,45 +633,6 @@ impl SupportProfile {
         policy: ExecutionPolicy,
     ) -> Result<Self> {
         let mined = crate::sharded::mine_k_sharded(sharded, k, floor, policy)?;
-        Ok(Self::from_itemsets(k, floor, mined))
-    }
-
-    /// Mine the profile from an out-of-core spilled dataset: the same
-    /// level-wise sweep as [`SupportProfile::from_sharded`], but each worker
-    /// pins its shard through the residency set, faulting cold shards back
-    /// from their spill files on demand. Bit-identical to every resident
-    /// constructor at any residency budget, worker count, or kernel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
-    pub fn from_spilled(
-        spilled: &SpilledShards,
-        k: usize,
-        floor: u64,
-        policy: ExecutionPolicy,
-    ) -> Result<Self> {
-        let mined = crate::sharded::mine_k_spilled(spilled, k, floor, policy)?;
-        Ok(Self::from_itemsets(k, floor, mined))
-    }
-
-    /// Like [`SupportProfile::from_spilled`], but mining with the
-    /// subtree-parallel [`crate::par_eclat::ParallelEclat`] when the
-    /// residency budget holds every shard (falling back to the level-wise
-    /// spilled sweep when it does not — a depth-first search re-visits
-    /// columns far too often to page shards through a small budget).
-    ///
-    /// # Errors
-    ///
-    /// Propagates miner errors (e.g. `k = 0` or `floor = 0`).
-    pub fn from_spilled_parallel(
-        spilled: &SpilledShards,
-        k: usize,
-        floor: u64,
-        policy: ExecutionPolicy,
-    ) -> Result<Self> {
-        let mined =
-            crate::par_eclat::ParallelEclat::new(policy).mine_k_spilled(spilled, k, floor)?;
         Ok(Self::from_itemsets(k, floor, mined))
     }
 
@@ -696,8 +657,10 @@ impl SupportProfile {
 
     /// Like [`SupportProfile::from_sharded`], but mining with the
     /// subtree-parallel [`crate::par_eclat::ParallelEclat`] composed with the
-    /// sharded layout (subtree × shard). Bit-identical to every other
-    /// constructor at any worker count and shard width.
+    /// sharded layout (subtree × shard) when every shard can be pinned, and
+    /// with the level-wise sweep when a residency budget cannot hold them
+    /// all. Bit-identical to every other constructor at any worker count,
+    /// shard width and budget.
     ///
     /// # Errors
     ///

@@ -75,9 +75,7 @@ pub use fpgrowth::FpGrowth;
 pub use itemset::ItemsetSupport;
 pub use miner::{miner_decision, tuned_miner, KItemsetMiner, MinerKind};
 pub use par_eclat::ParallelEclat;
-pub use sharded::{
-    count_candidates_sharded, count_candidates_spilled, mine_k_sharded, mine_k_spilled,
-};
+pub use sharded::{count_candidates_sharded, mine_k_sharded};
 
 use std::fmt;
 

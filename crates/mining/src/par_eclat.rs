@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sigfim_datasets::bitmap::{and_into, BitmapDataset, ColumnsRef};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::SpilledShards;
+use sigfim_datasets::spill::ShardGuard;
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_exec::{ExecutionPolicy, TaskQueue};
 
@@ -41,22 +41,14 @@ use crate::miner::{validate_mining_args, KItemsetMiner};
 use crate::Result;
 
 /// A vertical column source the subtree search ANDs against: either one
-/// contiguous bitmap or a sharded bitmap addressed as the concatenation of
-/// its per-shard segments (per-shard widths are word-aligned, so the
-/// concatenated popcount equals the unsharded one exactly).
+/// contiguous bitmap or every shard of a sharded store, pinned for the whole
+/// search and addressed as the concatenation of their per-shard segments
+/// (per-shard widths are word-aligned, so the concatenated popcount equals
+/// the unsharded one exactly — the search cannot tell whether the columns
+/// stayed resident or came back from spill files).
 enum Columns<'a> {
     Bitmap(&'a BitmapDataset),
     Sharded {
-        sharded: &'a ShardedBitmapDataset,
-        /// Word offset of each shard's segment within a concatenated column.
-        offsets: Vec<usize>,
-        total_words: usize,
-    },
-    /// Shards of a spilled dataset pinned resident for the whole search (the
-    /// caller holds the [`sigfim_datasets::spill::ShardGuard`]s); addressed
-    /// exactly like [`Columns::Sharded`], so the search cannot tell the
-    /// columns came back from spill files.
-    Pinned {
         shards: &'a [ColumnsRef<'a>],
         /// Word offset of each shard's segment within a concatenated column.
         offsets: Vec<usize>,
@@ -66,28 +58,14 @@ enum Columns<'a> {
 }
 
 impl<'a> Columns<'a> {
-    fn sharded(sharded: &'a ShardedBitmapDataset) -> Self {
-        let mut offsets = Vec::with_capacity(sharded.num_shards());
-        let mut total_words = 0usize;
-        for shard in sharded.shards() {
-            offsets.push(total_words);
-            total_words += shard.words_per_column();
-        }
-        Columns::Sharded {
-            sharded,
-            offsets,
-            total_words,
-        }
-    }
-
-    fn pinned(shards: &'a [ColumnsRef<'a>], item_supports: &'a [u64]) -> Self {
+    fn sharded(shards: &'a [ColumnsRef<'a>], item_supports: &'a [u64]) -> Self {
         let mut offsets = Vec::with_capacity(shards.len());
         let mut total_words = 0usize;
         for shard in shards {
             offsets.push(total_words);
             total_words += shard.words_per_column();
         }
-        Columns::Pinned {
+        Columns::Sharded {
             shards,
             offsets,
             total_words,
@@ -99,9 +77,7 @@ impl<'a> Columns<'a> {
     fn total_words(&self) -> usize {
         match self {
             Columns::Bitmap(dataset) => dataset.words_per_column(),
-            Columns::Sharded { total_words, .. } | Columns::Pinned { total_words, .. } => {
-                *total_words
-            }
+            Columns::Sharded { total_words, .. } => *total_words,
         }
     }
 
@@ -113,14 +89,7 @@ impl<'a> Columns<'a> {
                 .map(|item| (item, dataset.item_support(item)))
                 .filter(|&(_, support)| support >= min_support)
                 .collect(),
-            Columns::Sharded { sharded, .. } => sharded
-                .item_supports()
-                .into_iter()
-                .enumerate()
-                .map(|(item, support)| (item as ItemId, support))
-                .filter(|&(_, support)| support >= min_support)
-                .collect(),
-            Columns::Pinned { item_supports, .. } => item_supports
+            Columns::Sharded { item_supports, .. } => item_supports
                 .iter()
                 .enumerate()
                 .map(|(item, &support)| (item as ItemId, support))
@@ -134,20 +103,6 @@ impl<'a> Columns<'a> {
         match self {
             Columns::Bitmap(dataset) => and_into(dst, covering, dataset.column(item)),
             Columns::Sharded {
-                sharded, offsets, ..
-            } => {
-                let mut total = 0u64;
-                for (shard, &offset) in sharded.shards().iter().zip(offsets) {
-                    let words = shard.words_per_column();
-                    total += and_into(
-                        &mut dst[offset..offset + words],
-                        &covering[offset..offset + words],
-                        shard.column(item),
-                    );
-                }
-                total
-            }
-            Columns::Pinned {
                 shards, offsets, ..
             } => {
                 let mut total = 0u64;
@@ -169,14 +124,6 @@ impl<'a> Columns<'a> {
         match self {
             Columns::Bitmap(dataset) => dst.copy_from_slice(dataset.column(item)),
             Columns::Sharded {
-                sharded, offsets, ..
-            } => {
-                for (shard, &offset) in sharded.shards().iter().zip(offsets) {
-                    let words = shard.words_per_column();
-                    dst[offset..offset + words].copy_from_slice(shard.column(item));
-                }
-            }
-            Columns::Pinned {
                 shards, offsets, ..
             } => {
                 for (shard, &offset) in shards.iter().zip(offsets) {
@@ -364,10 +311,16 @@ impl ParallelEclat {
     }
 
     /// Mine from a transaction-sharded bitmap: subtree parallelism composed
-    /// with the sharded layout. Columns are addressed as the concatenation
-    /// of per-shard segments; since shard widths are word-aligned the
-    /// popcounts — and therefore the output — match the unsharded miner
-    /// exactly.
+    /// with the sharded layout. When every shard can be loaded at once (a
+    /// resident store, or a spilled one whose budget covers all shards), all
+    /// shards are pinned for the whole search — depth-first subtree mining
+    /// revisits columns constantly, so paging them would thrash — and
+    /// columns are addressed as the concatenation of per-shard segments;
+    /// since shard widths are word-aligned the popcounts, and therefore the
+    /// output, match the unsharded miner exactly. Under a smaller budget the
+    /// search delegates to the level-wise residency-aware sweep
+    /// ([`crate::sharded::mine_k_sharded`]), which touches each cold shard
+    /// once per level — the output is bit-identical either way.
     pub fn mine_k_sharded(
         &self,
         sharded: &ShardedBitmapDataset,
@@ -375,36 +328,16 @@ impl ParallelEclat {
         min_support: u64,
     ) -> Result<Vec<ItemsetSupport>> {
         validate_mining_args(k, min_support)?;
-        dispatch::record(DispatchPath::ParEclatSharded);
-        self.mine(&Columns::sharded(sharded), k, min_support)
-    }
-
-    /// Mine from an out-of-core spilled dataset. When the residency budget
-    /// holds every shard, all shards are pinned resident for the duration of
-    /// the search (depth-first subtree mining revisits columns constantly, so
-    /// paging them would thrash) and the search runs exactly like
-    /// [`ParallelEclat::mine_k_sharded`] over the pinned segments. When the
-    /// budget is smaller, the search delegates to the level-wise
-    /// residency-aware sweep ([`crate::sharded::mine_k_spilled`]), which
-    /// touches each cold shard once per level — the output is bit-identical
-    /// either way.
-    pub fn mine_k_spilled(
-        &self,
-        spilled: &SpilledShards,
-        k: usize,
-        min_support: u64,
-    ) -> Result<Vec<ItemsetSupport>> {
-        validate_mining_args(k, min_support)?;
-        if !spilled.budget_holds_all() {
-            return crate::sharded::mine_k_spilled(spilled, k, min_support, self.policy);
+        if !sharded.budget_holds_all() {
+            return crate::sharded::mine_k_sharded(sharded, k, min_support, self.policy);
         }
         dispatch::record(DispatchPath::ParEclatSharded);
-        let guards: Vec<_> = (0..spilled.num_shards())
-            .map(|index| spilled.shard(index))
+        let guards: Vec<ShardGuard<'_>> = (0..sharded.num_shards())
+            .map(|index| sharded.shard(index))
             .collect();
-        let shards: Vec<ColumnsRef<'_>> = guards.iter().map(|guard| guard.columns()).collect();
-        let item_supports = spilled.item_supports();
-        self.mine(&Columns::pinned(&shards, &item_supports), k, min_support)
+        let shards: Vec<ColumnsRef<'_>> = guards.iter().map(ShardGuard::columns).collect();
+        let item_supports = sharded.item_supports();
+        self.mine(&Columns::sharded(&shards, &item_supports), k, min_support)
     }
 
     fn mine(
@@ -541,7 +474,6 @@ mod tests {
 
         let data = sample();
         let bitmap = BitmapDataset::from_dataset(&data);
-        let sharded = ShardedBitmapDataset::with_shard_rows(&data, 64);
         // budget 1 byte → level-wise delegation; huge budget → pinned
         // depth-first search. Both must be bit-identical to the reference.
         for budget in [1u64, 1 << 30] {
@@ -550,13 +482,14 @@ mod tests {
                 mode: SpillMode::Read,
                 dir: Some(std::env::temp_dir().join("sigfim-spill-tests")),
             };
-            let spilled = SpilledShards::spill_sharded(&sharded, &residency).unwrap();
+            let spilled =
+                ShardedBitmapDataset::spill_dataset_with_rows(&data, 64, &residency).unwrap();
             assert_eq!(spilled.budget_holds_all(), budget > 1);
             for k in 1..=3 {
                 let expected = Eclat.mine_k_bitmap(&bitmap, k, 2).unwrap();
                 for policy in policies() {
                     let got = ParallelEclat::new(policy)
-                        .mine_k_spilled(&spilled, k, 2)
+                        .mine_k_sharded(&spilled, k, 2)
                         .unwrap();
                     assert_eq!(got, expected, "budget {budget}, k={k}, policy={policy:?}");
                 }

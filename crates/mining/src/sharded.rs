@@ -5,9 +5,14 @@
 //! a worker ([`ExecutionPolicy::map_indexed`] keeps outputs in input order),
 //! then reducing the per-shard partial counts **in fixed shard order**.
 //! Partial supports are exact integers, so the reduction is plain addition
-//! and the totals are bit-identical to an unsharded count at any shard width
-//! and any worker count — sharding is a pure performance knob, exactly like
-//! the backend choice itself.
+//! and the totals are bit-identical to an unsharded count at any shard width,
+//! any worker count and any residency budget — sharding and spilling are pure
+//! performance and footprint knobs, exactly like the backend choice itself.
+//!
+//! Resident and spilled stores take the same path: workers pin shards
+//! through [`ShardedBitmapDataset::shard`] in the store's
+//! [`ShardedBitmapDataset::schedule`] order, which for a spilled store visits
+//! resident shards first so each cold shard faults in exactly once per batch.
 //!
 //! [`mine_k_sharded`] builds on that: a level-wise Apriori sweep (the same
 //! `join`/`prune` steps as [`crate::apriori::Apriori`]) whose per-level
@@ -17,23 +22,22 @@
 //! mining, `Q_{k,s}` answering, final family extraction) the same scaling.
 
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::SpilledShards;
 use sigfim_datasets::transaction::ItemId;
 use sigfim_exec::ExecutionPolicy;
 
 use crate::apriori::mine_k_levelwise;
-use crate::counting::{
-    count_candidates_bitmap, count_candidates_bitmap_with_supports,
-    count_candidates_columns_with_supports,
-};
+use crate::counting::count_candidates_columns_with_supports;
 use crate::itemset::ItemsetSupport;
 use crate::miner::validate_mining_args;
 use crate::Result;
 
-/// Batch support counting over a sharded bitmap: each shard is counted by
-/// [`count_candidates_bitmap`] (kernel-dispatched AND + popcount) on its own
-/// worker, and the per-shard partials are summed in shard order. Handles
-/// mixed sizes; empty itemsets get support `t` by convention.
+/// Batch support counting over a sharded bitmap: each shard is pinned
+/// ([`sigfim_datasets::spill::ShardGuard`], so eviction skips it) and counted
+/// against its construction-time item supports on its own worker, in the
+/// store's [`ShardedBitmapDataset::schedule`] order; the per-shard partials
+/// are then summed in fixed *shard* order — the schedule only permutes who
+/// counts when, never what is summed in which order. Handles mixed sizes;
+/// empty itemsets get support `t` by convention.
 pub fn count_candidates_sharded(
     sharded: &ShardedBitmapDataset,
     candidates: &[Vec<ItemId>],
@@ -42,30 +46,25 @@ pub fn count_candidates_sharded(
     if candidates.is_empty() {
         return Vec::new();
     }
-    let partials = policy.map_indexed(sharded.shards(), |_, shard| {
-        count_candidates_bitmap(shard, candidates)
+    let schedule = sharded.schedule();
+    let partials = policy.map_indexed(&schedule, |_, &shard| {
+        let guard = sharded.shard(shard);
+        count_candidates_columns_with_supports(
+            guard.columns(),
+            sharded.shard_item_supports(shard),
+            candidates,
+        )
     });
-    reduce_in_shard_order(&partials, candidates.len())
-}
-
-/// Per-shard item supports, one shard per worker, in shard order. This is the
-/// single column scan [`mine_k_sharded`] seeds itself with (the partials feed
-/// every level's rarest-first candidate ordering).
-fn per_shard_item_supports(
-    sharded: &ShardedBitmapDataset,
-    policy: ExecutionPolicy,
-) -> Vec<Vec<u64>> {
-    policy.map_indexed(sharded.shards(), |_, shard| shard.item_supports())
-}
-
-/// Sum partial count vectors in their (fixed, input-order) shard order.
-/// `map_indexed` already guarantees input-order outputs under every policy,
-/// and integer addition makes the fold exact — together these are the
-/// bit-identity argument for sharded counting.
-fn reduce_in_shard_order(partials: &[Vec<u64>], len: usize) -> Vec<u64> {
-    let mut totals = vec![0u64; len];
-    for partial in partials {
-        debug_assert_eq!(partial.len(), len);
+    // Un-permute: partials arrive in schedule order, the exact reduction
+    // wants fixed shard order. `map_indexed` already guarantees input-order
+    // outputs under every policy, and integer addition makes the fold exact
+    // — together these are the bit-identity argument for sharded counting.
+    let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); sharded.num_shards()];
+    for (position, partial) in partials.into_iter().enumerate() {
+        by_shard[schedule[position]] = partial;
+    }
+    let mut totals = vec![0u64; candidates.len()];
+    for partial in &by_shard {
         for (total, p) in totals.iter_mut().zip(partial) {
             *total += p;
         }
@@ -73,76 +72,14 @@ fn reduce_in_shard_order(partials: &[Vec<u64>], len: usize) -> Vec<u64> {
     totals
 }
 
-/// Residency-aware batch counting over an out-of-core spilled dataset. The
-/// per-batch shard schedule comes from [`SpilledShards::schedule`] — resident
-/// shards first, cold shards after — so workers count what is already in
-/// memory while the cold tail faults in, and each cold shard is faulted
-/// **exactly once per batch** instead of thrashing the budget. Each worker
-/// pins its shard with a [`sigfim_datasets::spill::ShardGuard`] for the
-/// duration of its count (eviction skips pinned slots), and the partials are
-/// still reduced in fixed *shard* order — the schedule only permutes who
-/// counts when, never what is summed in which order, so totals stay
-/// bit-identical to [`count_candidates_sharded`] at any budget.
-pub fn count_candidates_spilled(
-    spilled: &SpilledShards,
-    candidates: &[Vec<ItemId>],
-    policy: ExecutionPolicy,
-) -> Vec<u64> {
-    if candidates.is_empty() {
-        return Vec::new();
-    }
-    let schedule = spilled.schedule();
-    let partials = policy.map_indexed(&schedule, |_, &shard| {
-        let guard = spilled.shard(shard);
-        count_candidates_columns_with_supports(
-            guard.columns(),
-            spilled.shard_item_supports(shard),
-            candidates,
-        )
-    });
-    // Un-permute: partials arrive in schedule order, the exact reduction
-    // below wants fixed shard order.
-    let mut by_shard: Vec<Vec<u64>> = vec![Vec::new(); spilled.num_shards()];
-    for (position, partial) in partials.into_iter().enumerate() {
-        by_shard[schedule[position]] = partial;
-    }
-    reduce_in_shard_order(&by_shard, candidates.len())
-}
-
-/// Level-wise mining over an out-of-core spilled dataset: the same sweep as
-/// [`mine_k_sharded`], with each level's counting pass going through
-/// [`count_candidates_spilled`]'s residency-aware schedule. The per-shard
-/// item supports were recorded at spill time, so seeding the sweep faults
-/// nothing in.
-///
-/// # Errors
-///
-/// Returns [`crate::MiningError::InvalidParameter`] for `k == 0` or
-/// `min_support == 0`.
-pub fn mine_k_spilled(
-    spilled: &SpilledShards,
-    k: usize,
-    min_support: u64,
-    policy: ExecutionPolicy,
-) -> Result<Vec<ItemsetSupport>> {
-    validate_mining_args(k, min_support)?;
-    crate::dispatch::record(crate::dispatch::DispatchPath::Sharded);
-    let supports = spilled.item_supports();
-    Ok(mine_k_levelwise(
-        &supports,
-        k,
-        min_support,
-        true,
-        |candidates, _| count_candidates_spilled(spilled, candidates, policy),
-    ))
-}
-
 /// Mine all k-itemsets with support at least `min_support` from a sharded
 /// bitmap: level-wise candidate generation (`join` + `prune`, as in Apriori)
-/// with each level's counting pass fanned out shard-by-shard under `policy`.
-/// Returns exactly what [`crate::eclat::Eclat::mine_k_bitmap`] returns on the
-/// equivalent unsharded bitmap (exact supports, canonical order) — enforced
-/// by the sharded-parity proptests.
+/// with each level's counting pass fanned out shard-by-shard under `policy`
+/// through [`count_candidates_sharded`]. The item supports were recorded at
+/// construction, so seeding the sweep touches no shard. Returns exactly what
+/// [`crate::eclat::Eclat::mine_k_bitmap`] returns on the equivalent unsharded
+/// bitmap (exact supports, canonical order) — enforced by the sharded-parity
+/// proptests.
 ///
 /// # Errors
 ///
@@ -156,35 +93,23 @@ pub fn mine_k_sharded(
 ) -> Result<Vec<ItemsetSupport>> {
     validate_mining_args(k, min_support)?;
     crate::dispatch::record(crate::dispatch::DispatchPath::Sharded);
-    // Per-shard item supports are scanned exactly once: they seed the global
-    // level-1 supports and then serve every level's rarest-first candidate
-    // ordering (re-deriving them per batch would repeat an
-    // O(items x words-per-shard) column scan at every level).
-    let per_shard_supports = per_shard_item_supports(sharded, policy);
-    let supports = reduce_in_shard_order(&per_shard_supports, sharded.num_items() as usize);
+    let supports = sharded.item_supports();
     Ok(mine_k_levelwise(
         &supports,
         k,
         min_support,
         true,
-        |candidates, _| {
-            let partials = policy.map_indexed(sharded.shards(), |shard_index, shard| {
-                count_candidates_bitmap_with_supports(
-                    shard,
-                    &per_shard_supports[shard_index],
-                    candidates,
-                )
-            });
-            reduce_in_shard_order(&partials, candidates.len())
-        },
+        |candidates, _| count_candidates_sharded(sharded, candidates, policy),
     ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counting::count_candidates_bitmap;
     use crate::eclat::Eclat;
     use sigfim_datasets::bitmap::BitmapDataset;
+    use sigfim_datasets::spill::{ShardResidency, SpillMode};
     use sigfim_datasets::transaction::TransactionDataset;
 
     fn toy(t: usize) -> TransactionDataset {
@@ -199,6 +124,15 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    fn spilled(csr: &TransactionDataset, budget: u64) -> ShardedBitmapDataset {
+        let residency = ShardResidency {
+            budget_bytes: budget,
+            mode: SpillMode::Read,
+            dir: Some(std::env::temp_dir().join("sigfim-spill-tests")),
+        };
+        ShardedBitmapDataset::spill_dataset_with_rows(csr, 64, &residency).unwrap()
     }
 
     #[test]
@@ -261,8 +195,6 @@ mod tests {
 
     #[test]
     fn spilled_counting_and_mining_match_the_resident_shards() {
-        use sigfim_datasets::spill::{ShardResidency, SpillMode};
-
         let csr = toy(200);
         let sharded = ShardedBitmapDataset::with_shard_rows(&csr, 64);
         let candidates = vec![vec![], vec![2], vec![0, 1], vec![0, 1, 2], vec![2, 3, 4]];
@@ -270,53 +202,52 @@ mod tests {
         // A 1-byte budget forces every shard through the fault/evict cycle; a
         // huge one keeps everything resident. Both must count identically.
         for budget in [1u64, 1 << 30] {
-            let residency = ShardResidency {
-                budget_bytes: budget,
-                mode: SpillMode::Read,
-                dir: Some(std::env::temp_dir().join("sigfim-spill-tests")),
-            };
-            let spilled = SpilledShards::spill_sharded(&sharded, &residency).unwrap();
+            let spilled = spilled(&csr, budget);
             for policy in [
                 ExecutionPolicy::Sequential,
                 ExecutionPolicy::rayon(2),
                 ExecutionPolicy::rayon(8),
             ] {
                 assert_eq!(
-                    count_candidates_spilled(&spilled, &candidates, policy),
+                    count_candidates_sharded(&spilled, &candidates, policy),
                     expected,
                     "budget {budget}, {policy:?}"
                 );
                 for k in 1..=3 {
                     assert_eq!(
-                        mine_k_spilled(&spilled, k, 3, policy).unwrap(),
+                        mine_k_sharded(&spilled, k, 3, policy).unwrap(),
                         mine_k_sharded(&sharded, k, 3, ExecutionPolicy::Sequential).unwrap(),
                         "budget {budget}, k = {k}, {policy:?}"
                     );
                 }
             }
             assert!(
-                count_candidates_spilled(&spilled, &[], ExecutionPolicy::Sequential).is_empty()
+                count_candidates_sharded(&spilled, &[], ExecutionPolicy::Sequential).is_empty()
             );
         }
         // Shared argument validation.
-        let residency = ShardResidency {
-            budget_bytes: 1,
-            mode: SpillMode::Read,
-            dir: Some(std::env::temp_dir().join("sigfim-spill-tests")),
-        };
-        let spilled = SpilledShards::spill_sharded(&sharded, &residency).unwrap();
-        assert!(mine_k_spilled(&spilled, 0, 1, ExecutionPolicy::Sequential).is_err());
-        assert!(mine_k_spilled(&spilled, 2, 0, ExecutionPolicy::Sequential).is_err());
+        let spilled = spilled(&csr, 1);
+        assert!(mine_k_sharded(&spilled, 0, 1, ExecutionPolicy::Sequential).is_err());
+        assert!(mine_k_sharded(&spilled, 2, 0, ExecutionPolicy::Sequential).is_err());
     }
 
     #[test]
     fn item_supports_fan_out_matches_reference() {
+        // The per-shard supports recorded at construction reduce, in shard
+        // order, to the dataset's item supports — resident or spilled.
         let csr = toy(130);
-        let sharded = ShardedBitmapDataset::with_shard_rows(&csr, 64);
-        let partials = per_shard_item_supports(&sharded, ExecutionPolicy::rayon(3));
-        assert_eq!(
-            reduce_in_shard_order(&partials, sharded.num_items() as usize),
-            csr.item_supports()
-        );
+        for sharded in [
+            ShardedBitmapDataset::with_shard_rows(&csr, 64),
+            spilled(&csr, 1),
+        ] {
+            let mut totals = vec![0u64; sharded.num_items() as usize];
+            for shard in 0..sharded.num_shards() {
+                for (total, partial) in totals.iter_mut().zip(sharded.shard_item_supports(shard)) {
+                    *total += partial;
+                }
+            }
+            assert_eq!(totals, csr.item_supports());
+            assert_eq!(sharded.item_supports(), totals);
+        }
     }
 }

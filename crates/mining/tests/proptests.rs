@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
-use sigfim_datasets::spill::{ShardResidency, SpillMode, SpilledShards, MMAP_SUPPORTED};
+use sigfim_datasets::spill::{ShardResidency, SpillMode};
 use sigfim_datasets::transaction::{ItemId, TransactionDataset};
 use sigfim_exec::ExecutionPolicy;
 use sigfim_mining::counting::{
@@ -315,12 +315,7 @@ proptest! {
         let sharded = ShardedBitmapDataset::with_shard_rows(&dataset, 64);
         let reference = SupportProfile::from_sharded(
             &sharded, k, floor, ExecutionPolicy::Sequential).unwrap();
-        let modes: &[SpillMode] = if MMAP_SUPPORTED {
-            &[SpillMode::Mmap, SpillMode::Read]
-        } else {
-            &[SpillMode::Read]
-        };
-        for &mode in modes {
+        for mode in SpillMode::ALL {
             // 1 byte: spill-forced (at most one shard resident, constant
             // eviction). 1 GiB: everything fits, the depth-first miner pins.
             for budget in [1u64, 1 << 30] {
@@ -329,15 +324,16 @@ proptest! {
                     mode,
                     dir: Some(std::env::temp_dir().join("sigfim-spill-tests")),
                 };
-                let spilled = SpilledShards::spill_sharded(&sharded, &residency).unwrap();
+                let spilled =
+                    ShardedBitmapDataset::spill_dataset_with_rows(&dataset, 64, &residency).unwrap();
                 for threads in [1usize, 2, 8] {
                     let policy = ExecutionPolicy::from_threads(threads);
-                    let levelwise = SupportProfile::from_spilled(&spilled, k, floor, policy).unwrap();
+                    let levelwise = SupportProfile::from_sharded(&spilled, k, floor, policy).unwrap();
                     prop_assert_eq!(
                         &levelwise, &reference,
                         "{} budget {}, {} thread(s), level-wise", mode, budget, threads);
                     let parallel =
-                        SupportProfile::from_spilled_parallel(&spilled, k, floor, policy).unwrap();
+                        SupportProfile::from_sharded_parallel(&spilled, k, floor, policy).unwrap();
                     prop_assert_eq!(
                         &parallel, &reference,
                         "{} budget {}, {} thread(s), par-eclat", mode, budget, threads);

@@ -622,11 +622,11 @@ pub struct ServiceStats {
     /// deserialization.
     #[serde(default)]
     pub store: Option<sigfim_store::StoreStats>,
-    /// Out-of-core shard-residency counters (`--shard-residency` /
-    /// `SIGFIM_RESIDENCY`): the process-wide spill configuration and the
-    /// lifetime spill/eviction/refault totals across every spilled view.
-    /// Additive field, defaulted on deserialization; all-zero (mode `mmap`
-    /// or `read`, budget 0) when no residency budget is configured.
+    /// Out-of-core shard-residency counters (`--shard-residency`): the
+    /// platform's fault path, the server's residency budget, and the
+    /// lifetime spill/eviction/refault totals across every spilled store.
+    /// Additive field, defaulted on deserialization; the budget and counters
+    /// are zero when no residency budget is configured.
     #[serde(default)]
     pub residency: ResidencyStats,
 }
@@ -636,11 +636,12 @@ pub struct ServiceStats {
 /// baseline v1, so pre-spill servers simply omit it.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ResidencyStats {
-    /// The process-wide spill mode (`mmap`, `read` or `off`).
+    /// The platform's fault path for spilled shards: `mmap` where
+    /// supported, `read` elsewhere (never `off`).
     #[serde(default)]
     pub mode: String,
-    /// The configured residency budget in bytes; 0 when none is set (views
-    /// stay fully resident).
+    /// The server's `--shard-residency` budget in bytes; 0 when none is set
+    /// (sharded stores stay resident).
     #[serde(default)]
     pub budget_bytes: u64,
     /// Datasets whose sharded view has been spilled since startup.

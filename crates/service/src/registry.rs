@@ -46,13 +46,14 @@ fn kernel_stats() -> KernelStats {
     }
 }
 
-/// Snapshot the process-wide out-of-core configuration and spill counters
-/// for `/v1/stats`.
-fn residency_stats() -> ResidencyStats {
+/// Snapshot the out-of-core configuration — the platform's fault path and
+/// the registry's `budget_bytes` — and the process-wide spill counters for
+/// `/v1/stats`.
+fn residency_stats(budget_bytes: u64) -> ResidencyStats {
     let counters = sigfim_datasets::spill_counters();
     ResidencyStats {
-        mode: sigfim_datasets::process_spill_mode().name().to_string(),
-        budget_bytes: sigfim_datasets::process_residency_budget().unwrap_or(0),
+        mode: sigfim_datasets::SpillMode::default().name().to_string(),
+        budget_bytes,
         spilled_datasets: counters.spilled_datasets,
         spilled_shards: counters.spilled_shards,
         evictions: counters.evictions,
@@ -133,6 +134,9 @@ pub struct EngineRegistry {
     /// The durability layer, once [`EngineRegistry::attach_db`] wires one
     /// up. `None` = fully in-memory service (the pre-store behaviour).
     persist: Mutex<Option<ServiceDb>>,
+    /// The shard-residency budget the front-end gave its engines, reported
+    /// by `/v1/stats` (0 = none).
+    residency_budget_bytes: u64,
 }
 
 impl Default for EngineRegistry {
@@ -205,7 +209,15 @@ impl EngineRegistry {
             threshold_requests: AtomicU64::new(0),
             jobs: Arc::new(JobTable::new(queue_capacity)),
             persist: Mutex::new(None),
+            residency_budget_bytes: 0,
         }
+    }
+
+    /// Record the shard-residency budget (`--shard-residency`) the front-end
+    /// attaches to the engines it registers, for `/v1/stats`.
+    pub fn with_residency_budget(mut self, budget_bytes: u64) -> Self {
+        self.residency_budget_bytes = budget_bytes;
+        self
     }
 
     /// A handle to the shared threshold store.
@@ -661,7 +673,7 @@ impl EngineRegistry {
             replicates: sigfim_core::replicate_stats(),
             jobs: self.jobs.stats(),
             store: relock!(self.persist.lock()).as_ref().map(ServiceDb::stats),
-            residency: residency_stats(),
+            residency: residency_stats(self.residency_budget_bytes),
         }
     }
 

@@ -60,10 +60,7 @@ use sigfim::datasets::bitmap::{DatasetBackend, ResolvedBackend};
 use sigfim::datasets::fimi::read_fimi_file;
 use sigfim::datasets::kernels::{configure_kernels, KernelMode};
 use sigfim::datasets::transaction::TransactionDataset;
-use sigfim::datasets::{
-    configure_residency, configure_sampler, configure_spill, parse_budget_bytes,
-    set_default_spill_dir, SamplerMode,
-};
+use sigfim::datasets::{configure_sampler, parse_budget_bytes, SamplerMode, ShardResidency};
 use sigfim::mining::miner::MinerKind;
 use sigfim::mining::tuned_miner;
 use sigfim::prelude::{
@@ -112,7 +109,7 @@ struct CliOptions {
     sampler: Option<SamplerMode>,
     /// `--shard-residency <bytes>`: byte budget on resident shards of the
     /// sharded backend — beyond it, shards spill to per-shard files and
-    /// fault back in on demand (LRU). `None` defers to `SIGFIM_RESIDENCY`;
+    /// fault back in on demand (LRU). `None` keeps every shard resident;
     /// results are bit-identical at every budget.
     shard_residency: Option<u64>,
 }
@@ -147,11 +144,10 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     numerically but not statistically), auto picks gaps per run when the\n\
     model supports it and its density is at most 0.05.\n\
     --shard-residency bounds the bytes of sharded-backend shards kept in\n\
-    memory (suffixes K/M/G, powers of 1024; mirrors SIGFIM_RESIDENCY): cold\n\
-    shards spill to per-shard files and fault back on demand via mmap or a\n\
-    portable read path (SIGFIM_SPILL=mmap|read|off), with bit-identical\n\
-    reports at every budget. In serve mode with --data-dir the spill files\n\
-    live under <data-dir>/spill.\n\
+    memory (suffixes K/M/G, powers of 1024): cold shards spill to per-shard\n\
+    files and fault back on demand (via mmap where the platform supports it),\n\
+    with bit-identical reports at every budget. In serve mode with --data-dir\n\
+    the spill files live under <data-dir>/spill.\n\
     `serve` starts the multi-tenant HTTP/JSON front-end: one engine per\n\
     dataset, one shared LRU threshold store (--cache-capacity bounds it),\n\
     endpoints POST /v1/analyze, POST /v1/thresholds, PUT|DELETE\n\
@@ -295,20 +291,16 @@ fn parse_value<T: std::str::FromStr, I: Iterator<Item = String>>(
         .map_err(|_| format!("{flag}: could not parse `{value}`"))
 }
 
-/// Validate the kernel, sampler, and out-of-core configuration (the
-/// `--kernels` / `--sampler` / `--shard-residency` flags against
-/// `SIGFIM_KERNELS` / `SIGFIM_SAMPLER` / `SIGFIM_SPILL` / `SIGFIM_RESIDENCY`
-/// and this CPU) at startup, so misconfiguration is a clean error here
-/// instead of a panic at the first dispatch deep inside the analysis.
+/// Validate the kernel and sampler configuration (the `--kernels` /
+/// `--sampler` flags against `SIGFIM_KERNELS` / `SIGFIM_SAMPLER` and this
+/// CPU) at startup, so misconfiguration is a clean error here instead of a
+/// panic at the first dispatch deep inside the analysis.
 fn configure_kernel_startup(
     kernels: Option<KernelMode>,
     sampler: Option<SamplerMode>,
-    shard_residency: Option<u64>,
 ) -> Result<(), String> {
     configure_kernels(kernels)?;
     configure_sampler(sampler)?;
-    configure_spill(None)?;
-    configure_residency(shard_residency)?;
     Ok(())
 }
 
@@ -473,31 +465,39 @@ fn parse_serve_options<I: Iterator<Item = String>>(args: I) -> Result<ServeOptio
 
 /// Run the service front-end until killed.
 fn serve_main(options: &ServeOptions) -> Result<(), String> {
-    configure_kernel_startup(options.kernels, options.sampler, options.shard_residency)?;
+    configure_kernel_startup(options.kernels, options.sampler)?;
     // Spill files belong next to the rest of the service state: under
     // --data-dir they survive operator inspection and share the volume's
-    // capacity planning. Must happen before any engine builds its views.
-    if let Some(dir) = &options.data_dir {
-        set_default_spill_dir(std::path::Path::new(dir).join("spill"))?;
-    }
-    let registry = Arc::new(EngineRegistry::with_capacities(
-        options.cache_capacity,
-        options.queue_capacity,
-    ));
+    // capacity planning.
+    let residency = options.shard_residency.map(|budget| ShardResidency {
+        dir: options
+            .data_dir
+            .as_ref()
+            .map(|dir| std::path::Path::new(dir).join("spill")),
+        ..ShardResidency::with_budget(budget)
+    });
+    let registry = Arc::new(
+        EngineRegistry::with_capacities(options.cache_capacity, options.queue_capacity)
+            .with_residency_budget(options.shard_residency.unwrap_or(0)),
+    );
     for (id, path) in &options.datasets {
         let labeled =
             read_fimi_file(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
         let dataset = labeled.dataset;
         let summary = DatasetSummary::from_dataset(&dataset);
-        let engine: DynAnalysisEngine = match options.swap_null {
+        let mut engine: DynAnalysisEngine = match options.swap_null {
             Some(swaps) => {
                 AnalysisEngine::with_swap_null(dataset, swaps).map(AnalysisEngine::into_dyn)
             }
             None => AnalysisEngine::from_dataset(dataset).map(AnalysisEngine::into_dyn),
         }
-        .map_err(|error| format!("cannot build an engine for `{id}`: {error}"))?
-        .with_backend(options.backend)
-        .with_threads(options.threads);
+        .map_err(|error| format!("cannot build an engine for `{id}`: {error}"))?;
+        if let Some(residency) = &residency {
+            engine = engine.with_shard_residency(residency.clone());
+        }
+        let engine = engine
+            .with_backend(options.backend)
+            .with_threads(options.threads);
         registry
             .register_engine(id.clone(), engine)
             .map_err(|error| format!("cannot register `{id}`: {error}"))?;
@@ -564,9 +564,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(message) =
-        configure_kernel_startup(options.kernels, options.sampler, options.shard_residency)
-    {
+    if let Err(message) = configure_kernel_startup(options.kernels, options.sampler) {
         eprintln!("sigfim: {message}");
         return ExitCode::FAILURE;
     }
@@ -587,6 +585,9 @@ fn main() -> ExitCode {
     // every k of the sweep, and the threshold cache collapses duplicate keys.
     let request = request_from(&options, resolve_miner(&options, dataset));
     let configure = |mut engine: DynAnalysisEngine| {
+        if let Some(budget) = options.shard_residency {
+            engine = engine.with_shard_residency(ShardResidency::with_budget(budget));
+        }
         engine = engine
             .with_backend(options.backend)
             .with_threads(options.threads);
@@ -815,8 +816,23 @@ mod tests {
         assert_eq!(serve.shard_residency, Some(512 << 10));
         assert!(parse_serve(&["x.dat", "--shard-residency", "-3"]).is_err());
         assert!(USAGE.contains("--shard-residency"));
-        assert!(USAGE.contains("SIGFIM_RESIDENCY"));
-        assert!(USAGE.contains("SIGFIM_SPILL"));
+        // Residency is a per-engine value built from the flag: the only
+        // environment variables the usage text names are the kernel and
+        // sampler mirrors.
+        let named: std::collections::BTreeSet<&str> = USAGE
+            .match_indices("SIGFIM_")
+            .map(|(at, _)| {
+                let tail = &USAGE[at..];
+                let end = tail
+                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
+                    .unwrap_or(tail.len());
+                &tail[..end]
+            })
+            .collect();
+        assert_eq!(
+            named.into_iter().collect::<Vec<_>>(),
+            ["SIGFIM_KERNELS", "SIGFIM_SAMPLER"]
+        );
     }
 
     #[test]
