@@ -24,6 +24,7 @@ use sigfim_datasets::transaction::ItemId;
 use sigfim_exec::{substream, BatchObserver, ExecutionPolicy, NoopObserver, OffsetObserver};
 use sigfim_mining::eclat::Eclat;
 use sigfim_mining::miner::KItemsetMiner;
+use sigfim_mining::ItemsetSupport;
 
 use crate::lambda::MonteCarloLambda;
 use crate::{CoreError, Result};
@@ -231,7 +232,7 @@ impl FindPoissonThreshold {
                 observer,
                 store,
             )?;
-            if observations.pool.is_empty() {
+            if observations.len() == 0 {
                 // Line 7-9 of the pseudocode: nothing reached the floor; halve it.
                 if restarts_left == 0 || s_tilde == 1 {
                     // Degenerate but well-defined outcome: no k-itemset ever reaches
@@ -256,7 +257,7 @@ impl FindPoissonThreshold {
                 continue;
             }
 
-            let curve = self.estimate_curve(&observations, s_tilde, cap);
+            let curve = self.estimate_curve(&observations, s_tilde, cap, MAX_PAIRWISE_POOL);
             let threshold = self.epsilon / 4.0;
             let at_floor = curve.first().expect("curve covers at least one support");
             // Only meaningful when the curve really starts at the floor (it starts
@@ -292,7 +293,7 @@ impl FindPoissonThreshold {
                 replicates: self.replicates,
                 s_tilde,
                 s_min,
-                pool_size: observations.pool.len(),
+                pool_size: observations.len(),
                 curve,
             });
         }
@@ -315,11 +316,13 @@ impl FindPoissonThreshold {
     /// its word-wise writes *are* the bitmap — so the configured backend only
     /// shapes the cellwise dispatch.
     ///
-    /// Before mining anything the batch is looked up in `store`: stored
-    /// observations for the same `(fingerprint, k, sampler, batch_key)` at a
-    /// floor at or below this one are reused verbatim (filtered up to this
-    /// floor — exact, because supports below the floor never enter the
-    /// estimates), and only missing tail replicates are mined.
+    /// Before mining anything the batch is looked up in `store`: a stored
+    /// batch for the same `(fingerprint, k, sampler, batch_key)` mined at a
+    /// floor at or below this one is reused as it is (rows below this floor
+    /// are skipped while pooling — exact, because supports below the floor
+    /// never enter the estimates), and only missing tail replicates are mined.
+    /// A batch stored at a *higher* floor cannot serve this one: the request
+    /// mines every replicate afresh and replaces the entry.
     #[allow(clippy::too_many_arguments)]
     fn collect_observations<M: NullModel + Sync>(
         &self,
@@ -348,95 +351,55 @@ impl FindPoissonThreshold {
         }
         OBSERVATIONS_REUSED.fetch_add(reused as u64, Ordering::Relaxed);
 
-        let per_replicate: Vec<HashMap<Vec<ItemId>, u64>> = if reused == replicates {
-            let stored = stored.expect("reused > 0 implies a stored entry");
-            stored.per_replicate[..replicates]
-                .iter()
-                .map(|replicate| filter_to_floor(replicate, floor))
-                .collect()
-        } else if let Some(stored) = stored {
-            // Δ-extension: the stored prefix is reused and only the tail is
-            // mined — at the *stored* floor, so the refreshed entry stays
-            // uniform (and keeps serving lower-floor re-queries).
-            let tail_indices: Vec<u64> = (reused as u64..replicates as u64).collect();
-            let offset = OffsetObserver {
-                inner: observer,
-                index_offset: reused,
-                completed_offset: reused,
-                total: replicates,
-            };
-            let tail = self.mine_replicates(
-                model,
-                stored.floor,
-                batch_key,
-                sampler,
-                &tail_indices,
-                &offset,
-            )?;
-            let mut combined = stored.per_replicate.clone();
-            combined.truncate(replicates);
-            combined.extend(tail);
-            let combined = Arc::new(StoredObservations {
-                floor: stored.floor,
-                per_replicate: combined,
-            });
-            store.insert(key, Arc::clone(&combined));
-            combined
-                .per_replicate
-                .iter()
-                .map(|replicate| filter_to_floor(replicate, floor))
-                .collect()
-        } else {
-            // Cold (or stored at a higher floor, which cannot serve this one):
-            // mine every replicate at this floor and (re)store the batch.
-            let indices: Vec<u64> = (0..replicates as u64).collect();
-            let mined =
-                self.mine_replicates(model, floor, batch_key, sampler, &indices, observer)?;
-            store.insert(
-                key,
-                Arc::new(StoredObservations {
-                    floor,
-                    per_replicate: mined.clone(),
-                }),
-            );
-            mined
-        };
-
-        // The pool W: every itemset that reached the floor in at least one replicate.
-        let mut pool: Vec<Vec<ItemId>> = Vec::new();
-        {
-            let mut seen: HashMap<&[ItemId], ()> = HashMap::new();
-            for replicate in &per_replicate {
-                for items in replicate.keys() {
-                    if !seen.contains_key(items.as_slice()) {
-                        pool.push(items.clone());
-                    }
-                }
-                for items in replicate.keys() {
-                    seen.entry(items.as_slice()).or_insert(());
-                }
+        let batch = match stored {
+            Some(stored) if reused == replicates => stored,
+            Some(stored) => {
+                // Δ-extension: the stored prefix is reused and only the tail is
+                // mined — at the *stored* floor, so the refreshed entry stays
+                // uniform (and keeps serving lower-floor re-queries).
+                let tail_indices: Vec<u64> = (reused as u64..replicates as u64).collect();
+                let offset = OffsetObserver {
+                    inner: observer,
+                    index_offset: reused,
+                    completed_offset: reused,
+                    total: replicates,
+                };
+                let tail = self.mine_replicates(
+                    model,
+                    stored.floor,
+                    batch_key,
+                    sampler,
+                    &tail_indices,
+                    &offset,
+                )?;
+                let mut per_replicate = stored.per_replicate.clone();
+                per_replicate.extend(tail);
+                let combined = Arc::new(StoredObservations {
+                    floor: stored.floor,
+                    per_replicate,
+                });
+                store.insert(key, Arc::clone(&combined));
+                combined
             }
-        }
-        pool.sort_unstable();
-        pool.dedup();
-
-        // supports[x][d] = support of pool itemset x in replicate d if it reached the
-        // floor there, 0 otherwise (supports below the floor never enter the
-        // estimates, which only look at s >= floor).
-        let supports: Vec<Vec<u64>> = pool
-            .iter()
-            .map(|items| {
-                per_replicate
-                    .iter()
-                    .map(|replicate| replicate.get(items).copied().unwrap_or(0))
-                    .collect()
-            })
-            .collect();
-        Ok(Observations {
-            pool,
-            supports,
-            replicates,
-        })
+            None => {
+                // Cold (or stored at a higher floor, which cannot serve this
+                // one): mine every replicate at this floor and (re)store it.
+                let indices: Vec<u64> = (0..replicates as u64).collect();
+                let per_replicate =
+                    self.mine_replicates(model, floor, batch_key, sampler, &indices, observer)?;
+                let mined = Arc::new(StoredObservations {
+                    floor,
+                    per_replicate,
+                });
+                store.insert(key, Arc::clone(&mined));
+                mined
+            }
+        };
+        Ok(Observations::pool(
+            &batch.per_replicate[..replicates],
+            self.k,
+            floor,
+        ))
     }
 
     /// Mine the given replicate indices at `floor`: sample each replicate's
@@ -455,7 +418,7 @@ impl FindPoissonThreshold {
         sampler: ResolvedSampler,
         indices: &[u64],
         observer: &dyn BatchObserver,
-    ) -> Result<Vec<HashMap<Vec<ItemId>, u64>>> {
+    ) -> Result<Vec<Arc<ReplicateRows>>> {
         let k = self.k;
         let backend = self.backend.resolve(
             model.num_items() as u32,
@@ -482,7 +445,9 @@ impl FindPoissonThreshold {
                     ResolvedSampler::Cellwise => match backend {
                         ResolvedBackend::Csr => {
                             let dataset = model.sample_dataset(&mut local);
-                            Eclat.mine_k(&dataset, k, floor).map(itemset_map)
+                            Eclat
+                                .mine_k(&dataset, k, floor)
+                                .map(ReplicateRows::from_mined)
                         }
                         // The sharded backend also rides the scratch-bitmap path
                         // here: Δ replicates already saturate the workers, so
@@ -495,9 +460,11 @@ impl FindPoissonThreshold {
                                 let supports =
                                     model.sample_into_bitmap_counted(&mut local, scratch);
                                 if k == 1 {
-                                    Ok(k1_from_supports(&supports, floor))
+                                    Ok(ReplicateRows::from_item_supports(&supports, floor))
                                 } else {
-                                    Eclat.mine_k_bitmap(scratch, k, floor).map(itemset_map)
+                                    Eclat
+                                        .mine_k_bitmap(scratch, k, floor)
+                                        .map(ReplicateRows::from_mined)
                                 }
                             })
                         }
@@ -507,51 +474,57 @@ impl FindPoissonThreshold {
                     ResolvedSampler::Gaps => with_bitmap_scratch(|scratch| {
                         let supports = model.sample_into_bitmap_gaps(&mut local, scratch);
                         if k == 1 {
-                            Ok(k1_from_supports(&supports, floor))
+                            Ok(ReplicateRows::from_item_supports(&supports, floor))
                         } else {
-                            Eclat.mine_k_bitmap(scratch, k, floor).map(itemset_map)
+                            Eclat
+                                .mine_k_bitmap(scratch, k, floor)
+                                .map(ReplicateRows::from_mined)
                         }
                     }),
                 }
             },
             observer,
         )?;
-        Ok(mined)
+        Ok(mined.into_iter().map(Arc::new).collect())
     }
 
     /// Turn the pooled observations into empirical `b1`, `b2`, `λ` curves over
     /// `s = floor ..= s_max`, where `s_max` is one past the largest observed support
-    /// (optionally clipped to `cap`).
+    /// (optionally clipped to `cap`). Pools larger than `pool_limit` have their
+    /// reporting floor raised ([`MAX_PAIRWISE_POOL`] in every run; tests pass
+    /// smaller limits).
+    ///
+    /// Only cells at or above the floor exist in `observations`; every absent
+    /// cell is a support of 0, which is below every floor ≥ 1, so the counts are
+    /// exactly those of the full pool × Δ table.
     fn estimate_curve(
         &self,
         observations: &Observations,
         floor: u64,
         cap: Option<u64>,
+        pool_limit: usize,
     ) -> Vec<CurvePoint> {
         let delta = observations.replicates as f64;
         // Per pool itemset: the largest support seen in any replicate.
-        let max_per_itemset: Vec<u64> = observations
-            .supports
-            .iter()
-            .map(|row| row.iter().copied().max().unwrap_or(0))
-            .collect();
+        let max_per_itemset = &observations.max_support;
         let max_observed = max_per_itemset.iter().copied().max().unwrap_or(floor);
 
         // When the floor is far below the Poisson region (s̃ rounded down to 1 on a
         // sparse dataset), the pool can contain hundreds of thousands of itemsets and
         // the pairwise b1/b2 sums become the bottleneck. Raising the *reporting*
-        // floor to the support level where at most MAX_PAIRWISE_POOL itemsets remain
+        // floor to the support level where at most `pool_limit` itemsets remain
         // keeps the estimates exact for every s at or above that level (excluded
         // itemsets have zero tail probability there) — and the region below it is
         // irrelevant for ŝ_min because with that many co-occurring itemsets the
         // Chen–Stein bound is far above ε anyway.
         let mut effective_floor = floor;
-        if observations.pool.len() > MAX_PAIRWISE_POOL {
-            let mut sorted = max_per_itemset.clone();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            effective_floor = sorted[MAX_PAIRWISE_POOL].saturating_add(1).max(floor);
+        if max_per_itemset.len() > pool_limit {
+            // The (pool_limit + 1)-th largest maximum.
+            let mut maxima = max_per_itemset.clone();
+            let (_, &mut nth, _) = maxima.select_nth_unstable_by(pool_limit, |a, b| b.cmp(a));
+            effective_floor = nth.saturating_add(1).max(floor);
         }
-        let kept: Vec<usize> = (0..observations.pool.len())
+        let kept: Vec<usize> = (0..max_per_itemset.len())
             .filter(|&x| max_per_itemset[x] >= effective_floor)
             .collect();
 
@@ -560,6 +533,7 @@ impl FindPoissonThreshold {
             s_max = s_max.min(cap.max(effective_floor));
         }
         let range = (s_max - effective_floor + 1) as usize;
+        let bucket = |support: u64| ((support - effective_floor) as usize).min(range - 1);
 
         // Suffix counts per kept itemset: counts[i][j] = #replicates with support of
         // kept[i] at least (effective_floor + j).
@@ -567,10 +541,9 @@ impl FindPoissonThreshold {
             .iter()
             .map(|&x| {
                 let mut histogram = vec![0u32; range];
-                for &support in &observations.supports[x] {
+                for &(_, support) in observations.cells(x) {
                     if support >= effective_floor {
-                        let idx = ((support - effective_floor) as usize).min(range - 1);
-                        histogram[idx] += 1;
+                        histogram[bucket(support)] += 1;
                     }
                 }
                 // histogram currently holds exact-value counts (clipped at the top);
@@ -588,7 +561,10 @@ impl FindPoissonThreshold {
             let mut pairs = Vec::new();
             for a in 0..kept.len() {
                 for b in (a + 1)..kept.len() {
-                    if itemsets_overlap(&observations.pool[kept[a]], &observations.pool[kept[b]]) {
+                    if itemsets_overlap(
+                        observations.itemset(kept[a]),
+                        observations.itemset(kept[b]),
+                    ) {
                         pairs.push((a, b));
                     }
                 }
@@ -597,15 +573,24 @@ impl FindPoissonThreshold {
         };
 
         // Pair co-occurrence suffix counts for b2: for each unordered overlapping
-        // pair and replicate, bucket min(support_x, support_y).
+        // pair and each replicate where both reached the floor, bucket
+        // min(support_x, support_y). Both cell lists ascend by replicate.
         let mut pair_hist = vec![0u64; range];
         for &(a, b) in &overlapping {
-            let (x, y) = (kept[a], kept[b]);
-            for d in 0..observations.replicates {
-                let m = observations.supports[x][d].min(observations.supports[y][d]);
-                if m >= effective_floor {
-                    let idx = ((m - effective_floor) as usize).min(range - 1);
-                    pair_hist[idx] += 1;
+            let (xs, ys) = (observations.cells(kept[a]), observations.cells(kept[b]));
+            let (mut i, mut j) = (0usize, 0usize);
+            while i < xs.len() && j < ys.len() {
+                match xs[i].0.cmp(&ys[j].0) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        let m = xs[i].1.min(ys[j].1);
+                        if m >= effective_floor {
+                            pair_hist[bucket(m)] += 1;
+                        }
+                        i += 1;
+                        j += 1;
+                    }
                 }
             }
         }
@@ -636,40 +621,126 @@ impl FindPoissonThreshold {
 /// curve exact — see [`FindPoissonThreshold::run`]).
 pub const MAX_PAIRWISE_POOL: usize = 3_000;
 
-/// Pooled Monte-Carlo observations: the itemset pool `W` and each pool member's
-/// support in every replicate.
+/// One replicate's mined k-itemsets, flat: `k` items per itemset plus its
+/// support, the itemsets in canonical (lexicographic) order.
+#[derive(Debug)]
+struct ReplicateRows {
+    items: Vec<ItemId>,
+    supports: Vec<u64>,
+}
+
+impl ReplicateRows {
+    /// Flatten a miner's output, which every miner emits in canonical order.
+    fn from_mined(mined: Vec<ItemsetSupport>) -> Self {
+        debug_assert!(
+            mined.windows(2).all(|w| w[0].items < w[1].items),
+            "mined itemsets arrive sorted and distinct"
+        );
+        let mut rows = ReplicateRows {
+            items: Vec::with_capacity(mined.iter().map(ItemsetSupport::len).sum()),
+            supports: Vec::with_capacity(mined.len()),
+        };
+        for itemset in mined {
+            rows.items.extend_from_slice(&itemset.items);
+            rows.supports.push(itemset.support);
+        }
+        rows
+    }
+
+    /// The frequent 1-itemsets read straight off the fused per-item support
+    /// vector (no mining pass): exactly what `Eclat::mine_k_bitmap` at `k = 1`
+    /// would return, for any floor ≥ 1.
+    fn from_item_supports(supports: &[u64], floor: u64) -> Self {
+        let (items, supports) = (0..)
+            .zip(supports)
+            .filter(|&(_, &support)| support >= floor)
+            .map(|(item, &support)| (item, support))
+            .unzip();
+        ReplicateRows { items, supports }
+    }
+}
+
+/// Pooled Monte-Carlo observations: the itemset pool `W` and, for each pool
+/// member, its non-zero `(replicate, support)` cells — the pool × Δ support
+/// table stored sparsely (row offsets into one cell list).
+#[derive(Debug)]
 struct Observations {
-    pool: Vec<Vec<ItemId>>,
-    supports: Vec<Vec<u64>>,
+    k: usize,
     replicates: usize,
+    /// The pool, flat: `k` items per itemset, in lexicographic order.
+    items: Vec<ItemId>,
+    /// The cells of pool itemset `x` are `cells[offsets[x]..offsets[x + 1]]`.
+    offsets: Vec<usize>,
+    /// `(replicate, support)` for every replicate where a pool itemset
+    /// reached the floor, ascending by replicate within each itemset.
+    cells: Vec<(u32, u64)>,
+    /// Per pool itemset: its largest support in any replicate.
+    max_support: Vec<u64>,
 }
 
-/// The frequent 1-itemsets read straight off the fused per-item support
-/// vector (no mining pass): exactly what `Eclat::mine_k_bitmap` at `k = 1`
-/// would return, for any floor ≥ 1.
-fn k1_from_supports(supports: &[u64], floor: u64) -> HashMap<Vec<ItemId>, u64> {
-    supports
-        .iter()
-        .enumerate()
-        .filter(|&(_, &support)| support >= floor)
-        .map(|(item, &support)| (vec![item as ItemId], support))
-        .collect()
-}
+impl Observations {
+    /// Pool the rows of `per_replicate` (replicate `d` is `per_replicate[d]`)
+    /// that reach `floor`. Each replicate's rows are sorted, so one stable
+    /// sort of row references merges the Δ runs into itemset order while
+    /// keeping each itemset's cells in replicate order.
+    fn pool(per_replicate: &[Arc<ReplicateRows>], k: usize, floor: u64) -> Self {
+        let itemset = |(d, row): (u32, u32)| {
+            let start = row as usize * k;
+            &per_replicate[d as usize].items[start..start + k]
+        };
+        let mut rows: Vec<(u32, u32)> = Vec::new();
+        for (d, replicate) in (0u32..).zip(per_replicate) {
+            rows.extend(
+                (0u32..)
+                    .zip(&replicate.supports)
+                    .filter(|&(_, &support)| support >= floor)
+                    .map(|(row, _)| (d, row)),
+            );
+        }
+        rows.sort_by(|&a, &b| itemset(a).cmp(itemset(b)));
 
-fn itemset_map(mined: Vec<sigfim_mining::ItemsetSupport>) -> HashMap<Vec<ItemId>, u64> {
-    mined.into_iter().map(|m| (m.items, m.support)).collect()
-}
+        let mut observations = Observations {
+            k,
+            replicates: per_replicate.len(),
+            items: Vec::new(),
+            offsets: Vec::new(),
+            cells: Vec::with_capacity(rows.len()),
+            max_support: Vec::new(),
+        };
+        let mut previous: Option<&[ItemId]> = None;
+        for &(d, row) in &rows {
+            let items = itemset((d, row));
+            let support = per_replicate[d as usize].supports[row as usize];
+            if previous == Some(items) {
+                let max = observations
+                    .max_support
+                    .last_mut()
+                    .expect("a repeated itemset has a pool entry");
+                *max = (*max).max(support);
+            } else {
+                observations.offsets.push(observations.cells.len());
+                observations.items.extend_from_slice(items);
+                observations.max_support.push(support);
+                previous = Some(items);
+            }
+            observations.cells.push((d, support));
+        }
+        observations.offsets.push(observations.cells.len());
+        observations
+    }
 
-/// Keep only the observations at or above `floor`. Exact by construction:
-/// supports below the floor never enter the curve estimates, so a batch mined
-/// at a lower floor filters up to any higher one without re-mining.
-fn filter_to_floor(replicate: &HashMap<Vec<ItemId>, u64>, floor: u64) -> HashMap<Vec<ItemId>, u64> {
-    // sigfim-lint: allow(nondet-iteration, reason = "filters one hash map into another; contents are order-independent and no order is observed")
-    replicate
-        .iter()
-        .filter(|&(_, &support)| support >= floor)
-        .map(|(items, &support)| (items.clone(), support))
-        .collect()
+    /// The size of the pool `W`.
+    fn len(&self) -> usize {
+        self.max_support.len()
+    }
+
+    fn itemset(&self, x: usize) -> &[ItemId] {
+        &self.items[x * self.k..(x + 1) * self.k]
+    }
+
+    fn cells(&self, x: usize) -> &[(u32, u64)] {
+        &self.cells[self.offsets[x]..self.offsets[x + 1]]
+    }
 }
 
 /// The identity of one mined replicate batch: which model, which itemset
@@ -684,22 +755,26 @@ struct ObservationKey {
     batch_key: u64,
 }
 
-/// One stored replicate batch: every replicate's mined observations at
-/// `floor`. An entry serves any request at the same key with a floor at or
-/// above `floor` (filtering is exact) and any Δ up to extension (missing tail
-/// replicates are mined and appended).
+/// One stored replicate batch: every replicate's mined rows at `floor`,
+/// stored once. An entry serves any request at the same key with a floor at
+/// or above `floor` (rows below the request's floor are skipped while
+/// pooling) and any Δ up to extension (missing tail replicates are mined and
+/// appended). A request below `floor` cannot be served: it mines a fresh
+/// batch at its own floor, which replaces this one.
 #[derive(Debug)]
 struct StoredObservations {
     /// The floor the batch was mined at — the *lowest* floor it can serve.
     floor: u64,
-    /// `per_replicate[i]` maps each itemset reaching the floor in replicate
-    /// `i` to its support there.
-    per_replicate: Vec<HashMap<Vec<ItemId>, u64>>,
+    /// `per_replicate[i]` holds the k-itemsets reaching the floor in
+    /// replicate `i`, with their supports. Each replicate sits behind its own
+    /// `Arc`, so a Δ-extension shares the stored prefix instead of copying it.
+    per_replicate: Vec<Arc<ReplicateRows>>,
 }
 
-/// The default capacity of an [`ObservationStore`]: observation batches hold
-/// Δ hash maps each, so the store is kept much smaller than the threshold
-/// cache; a handful of entries cover a k-sweep's re-queries.
+/// The default capacity of an [`ObservationStore`]: a batch holds Δ
+/// replicates' flat rows (`4k + 8` bytes per mined itemset), which at a low
+/// floor can reach megabytes, so the store is kept much smaller than the
+/// threshold cache; a handful of entries cover a k-sweep's re-queries.
 pub const DEFAULT_OBSERVATION_STORE_CAPACITY: usize = 8;
 
 /// A bounded, shareable memo of mined replicate batches keyed by
@@ -928,12 +1003,181 @@ impl ThresholdEstimate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sigfim_datasets::random::BernoulliModel;
+    use std::collections::BTreeMap;
 
     fn uniform_model(t: usize, n: usize, f: f64) -> BernoulliModel {
         BernoulliModel::new(t, vec![f; n]).unwrap()
+    }
+
+    /// The dense pool × Δ implementation the sparse pool replaced, kept only
+    /// as an oracle: per-replicate maps filtered to the floor, a sorted pool,
+    /// one support cell per (itemset, replicate) and the curve computed from
+    /// those cells. Returns the pool and the curve.
+    fn dense_reference(
+        per_replicate: &[Arc<ReplicateRows>],
+        k: usize,
+        floor: u64,
+        cap: Option<u64>,
+        pool_limit: usize,
+    ) -> (Vec<Vec<ItemId>>, Vec<CurvePoint>) {
+        let maps: Vec<BTreeMap<Vec<ItemId>, u64>> = per_replicate
+            .iter()
+            .map(|rows| {
+                (0..rows.supports.len())
+                    .filter(|&j| rows.supports[j] >= floor)
+                    .map(|j| (rows.items[j * k..(j + 1) * k].to_vec(), rows.supports[j]))
+                    .collect()
+            })
+            .collect();
+        let mut pool: Vec<Vec<ItemId>> = maps.iter().flat_map(|m| m.keys().cloned()).collect();
+        pool.sort_unstable();
+        pool.dedup();
+        let supports: Vec<Vec<u64>> = pool
+            .iter()
+            .map(|items| {
+                maps.iter()
+                    .map(|m| m.get(items).copied().unwrap_or(0))
+                    .collect()
+            })
+            .collect();
+        let replicates = per_replicate.len();
+
+        let delta = replicates as f64;
+        let max_per_itemset: Vec<u64> = supports
+            .iter()
+            .map(|row| row.iter().copied().max().unwrap_or(0))
+            .collect();
+        let max_observed = max_per_itemset.iter().copied().max().unwrap_or(floor);
+        let mut effective_floor = floor;
+        if pool.len() > pool_limit {
+            let mut sorted = max_per_itemset.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            effective_floor = sorted[pool_limit].saturating_add(1).max(floor);
+        }
+        let kept: Vec<usize> = (0..pool.len())
+            .filter(|&x| max_per_itemset[x] >= effective_floor)
+            .collect();
+        let mut s_max = (max_observed + 1).max(effective_floor);
+        if let Some(cap) = cap {
+            s_max = s_max.min(cap.max(effective_floor));
+        }
+        let range = (s_max - effective_floor + 1) as usize;
+        let counts: Vec<Vec<u32>> = kept
+            .iter()
+            .map(|&x| {
+                let mut histogram = vec![0u32; range];
+                for &support in &supports[x] {
+                    if support >= effective_floor {
+                        let idx = ((support - effective_floor) as usize).min(range - 1);
+                        histogram[idx] += 1;
+                    }
+                }
+                for j in (0..range.saturating_sub(1)).rev() {
+                    histogram[j] += histogram[j + 1];
+                }
+                histogram
+            })
+            .collect();
+        let mut overlapping = Vec::new();
+        for a in 0..kept.len() {
+            for b in (a + 1)..kept.len() {
+                if itemsets_overlap(&pool[kept[a]], &pool[kept[b]]) {
+                    overlapping.push((a, b));
+                }
+            }
+        }
+        let mut pair_hist = vec![0u64; range];
+        for &(a, b) in &overlapping {
+            let (x, y) = (kept[a], kept[b]);
+            for (&sx, &sy) in supports[x].iter().zip(&supports[y]) {
+                let m = sx.min(sy);
+                if m >= effective_floor {
+                    let idx = ((m - effective_floor) as usize).min(range - 1);
+                    pair_hist[idx] += 1;
+                }
+            }
+        }
+        for j in (0..range.saturating_sub(1)).rev() {
+            pair_hist[j] += pair_hist[j + 1];
+        }
+        let curve = (0..range)
+            .map(|j| {
+                let s = effective_floor + j as u64;
+                let p: Vec<f64> = counts.iter().map(|c| f64::from(c[j]) / delta).collect();
+                let diagonal: f64 = p.iter().map(|&v| v * v).sum();
+                let off_diagonal: f64 = overlapping.iter().map(|&(a, b)| p[a] * p[b]).sum();
+                let b1 = diagonal + 2.0 * off_diagonal;
+                let b2 = 2.0 * pair_hist[j] as f64 / delta;
+                let lambda: f64 = counts.iter().map(|c| f64::from(c[j])).sum::<f64>() / delta;
+                CurvePoint { s, b1, b2, lambda }
+            })
+            .collect();
+        (pool, curve)
+    }
+
+    /// Random replicate rows over six items, drawn from `seed`: `k`, then Δ
+    /// replicates of distinct k-itemsets with supports 1..8, each replicate
+    /// sorted as a miner emits it.
+    fn random_rows(seed: u64) -> (usize, Vec<Arc<ReplicateRows>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.random_range(1..=3usize);
+        let replicates = rng.random_range(1..=5usize);
+        let rows = (0..replicates)
+            .map(|_| {
+                let mut replicate = BTreeMap::new();
+                for _ in 0..rng.random_range(0..10) {
+                    let mask = loop {
+                        let mask: u32 = rng.random_range(0..64);
+                        if mask.count_ones() as usize == k {
+                            break mask;
+                        }
+                    };
+                    let items: Vec<ItemId> = (0..6).filter(|i| mask & (1 << i) != 0).collect();
+                    replicate.insert(items, rng.random_range(1..8u64));
+                }
+                let mined = replicate
+                    .into_iter()
+                    .map(|(items, support)| ItemsetSupport { items, support })
+                    .collect();
+                Arc::new(ReplicateRows::from_mined(mined))
+            })
+            .collect();
+        (k, rows)
+    }
+
+    fn curve_bits(curve: &[CurvePoint]) -> Vec<(u64, u64, u64, u64)> {
+        curve
+            .iter()
+            .map(|p| (p.s, p.b1.to_bits(), p.b2.to_bits(), p.lambda.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sparse_pool_matches_the_dense_reference(
+            seed in 0u64..u64::MAX,
+            floor in 1u64..5,
+            cap in 0u64..10,
+            pool_limit in 0usize..6,
+        ) {
+            let (k, rows) = random_rows(seed);
+            // 0 stands for "no cap".
+            let cap = (cap > 0).then_some(cap);
+            let observations = Observations::pool(&rows, k, floor);
+            let (pool, reference) = dense_reference(&rows, k, floor, cap, pool_limit);
+            prop_assert_eq!(observations.len(), pool.len());
+            for (x, items) in pool.iter().enumerate() {
+                prop_assert_eq!(observations.itemset(x), items.as_slice());
+            }
+            let curve = FindPoissonThreshold::new(k).estimate_curve(&observations, floor, cap, pool_limit);
+            prop_assert_eq!(curve_bits(&curve), curve_bits(&reference));
+        }
     }
 
     #[test]

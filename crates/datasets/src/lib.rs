@@ -99,8 +99,8 @@ pub use sampler::{
 };
 pub use sharded::ShardedBitmapDataset;
 pub use spill::{
-    parse_budget_bytes, spill_counters, ResidencySet, ShardGuard, ShardResidency, SpillCounters,
-    SpillMode, SpillSnapshot, MMAP_SUPPORTED,
+    parse_budget_bytes, spill_counters, sweep_stale_spill_dirs, ResidencySet, ShardGuard,
+    ShardResidency, SpillCounters, SpillMode, SpillSnapshot, MMAP_SUPPORTED,
 };
 pub use summary::DatasetSummary;
 pub use transaction::{ItemId, TransactionDataset};

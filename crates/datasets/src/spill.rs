@@ -636,6 +636,56 @@ impl Drop for SpillDir {
     }
 }
 
+/// The pid in a spill directory name `spill-<pid>-<seq>` (both decimal), or
+/// `None` for any other name.
+fn spill_dir_pid(name: &str) -> Option<u32> {
+    let (pid, seq) = name.strip_prefix("spill-")?.split_once('-')?;
+    let decimal = |part: &str| !part.is_empty() && part.bytes().all(|b| b.is_ascii_digit());
+    if decimal(pid) && decimal(seq) {
+        pid.parse().ok()
+    } else {
+        None
+    }
+}
+
+/// Remove the spill directories under `base` that dead processes left
+/// behind. A process stopped by a signal never drops its stores, so its
+/// `spill-<pid>-<seq>/` directories outlive it; a server sweeps its spill
+/// base at startup. Only directories named exactly `spill-<pid>-<seq>` are
+/// touched, and only when `<pid>` is neither this process nor a live one.
+/// Liveness is read from `/proc/<pid>`; where `/proc` does not exist nothing
+/// is removed. Returns the number of directories removed.
+///
+/// # Errors
+///
+/// Propagates failures to list `base` (a missing `base` sweeps nothing) or
+/// to remove a stale directory.
+pub fn sweep_stale_spill_dirs(base: &Path) -> io::Result<usize> {
+    let proc_root = Path::new("/proc");
+    if !proc_root.join("self").exists() {
+        return Ok(0);
+    }
+    let entries = match fs::read_dir(base) {
+        Ok(entries) => entries,
+        Err(error) if error.kind() == io::ErrorKind::NotFound => return Ok(0),
+        Err(error) => return Err(error),
+    };
+    let own = std::process::id();
+    let mut removed = 0;
+    for entry in entries {
+        let entry = entry?;
+        let Some(pid) = entry.file_name().to_str().and_then(spill_dir_pid) else {
+            continue;
+        };
+        let alive = pid == own || proc_root.join(pid.to_string()).exists();
+        if !alive && entry.file_type()?.is_dir() {
+            fs::remove_dir_all(entry.path())?;
+            removed += 1;
+        }
+    }
+    Ok(removed)
+}
+
 /// Sequence number making concurrent spill directories unique within a
 /// process (the directory name also carries the pid).
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1169,6 +1219,73 @@ mod tests {
         let base = residency.dir.unwrap();
         assert!(is_empty_dir(&base));
         fs::remove_dir(&base).unwrap();
+    }
+
+    #[test]
+    fn spill_dir_names_parse_exactly() {
+        assert_eq!(spill_dir_pid("spill-123-0"), Some(123));
+        assert_eq!(spill_dir_pid("spill-7-42"), Some(7));
+        for name in [
+            "spill-123",
+            "spill--0",
+            "spill-123-",
+            "spill-12a-0",
+            "spill-123-0x",
+            "spill-123-0-1",
+            "xspill-123-0",
+            "shard-000000.bin",
+            "spill-99999999999-0",
+        ] {
+            assert_eq!(spill_dir_pid(name), None, "{name}");
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sweeping_removes_only_dead_processes_spill_dirs() {
+        let base = std::env::temp_dir()
+            .join("sigfim-spill-tests")
+            .join(format!("sweep-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&base);
+        fs::create_dir_all(&base).unwrap();
+        // A pid that is certainly dead: a child that has exited and been
+        // reaped.
+        let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+            .arg("--list")
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .unwrap();
+        let dead = child.id();
+        child.wait().unwrap();
+        assert!(!Path::new(&format!("/proc/{dead}")).exists());
+        let own = std::process::id();
+
+        let stale = [format!("spill-{dead}-0"), format!("spill-{dead}-17")];
+        for name in &stale {
+            fs::create_dir(base.join(name)).unwrap();
+        }
+        fs::write(base.join(&stale[0]).join("shard-000000.bin"), b"x").unwrap();
+        let kept_dirs = [
+            format!("spill-{own}-0"),
+            format!("spill-{dead}-x"),
+            format!("spill-{dead}"),
+            format!("notes-{dead}-0"),
+        ];
+        for name in &kept_dirs {
+            fs::create_dir(base.join(name)).unwrap();
+        }
+        let kept_file = format!("spill-{dead}-3");
+        fs::write(base.join(&kept_file), b"not a directory").unwrap();
+
+        assert_eq!(sweep_stale_spill_dirs(&base).unwrap(), 2);
+        for name in &stale {
+            assert!(!base.join(name).exists(), "{name} should be swept");
+        }
+        for name in kept_dirs.iter().chain([&kept_file]) {
+            assert!(base.join(name).exists(), "{name} should survive");
+        }
+        assert_eq!(sweep_stale_spill_dirs(&base.join("missing")).unwrap(), 0);
+        fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

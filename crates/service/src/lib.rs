@@ -58,5 +58,5 @@ pub use protocol::{
     ApiError, ApiRequest, ApiRequestBody, ApiResponse, ApiResult, EngineInfo, JobInfo, JobState,
     JobStats, KernelStats, ModelSpec, ResidencyStats, ServiceStats, TunerTiming, PROTOCOL_VERSION,
 };
-pub use registry::{EngineRegistry, RecoverySummary};
+pub use registry::{EngineConfig, EngineRegistry, RecoverySummary};
 pub use sigfim_store::{DbOptions, StoreStats};

@@ -19,7 +19,9 @@ use sigfim_core::engine::{
     ThresholdRun, ThresholdStore,
 };
 use sigfim_core::CoreError;
+use sigfim_datasets::spill::ShardResidency;
 use sigfim_datasets::transaction::TransactionDataset;
+use sigfim_datasets::DatasetBackend;
 
 use crate::jobs::{JobTable, Work, DEFAULT_QUEUE_CAPACITY};
 use crate::persist::ServiceDb;
@@ -47,8 +49,8 @@ fn kernel_stats() -> KernelStats {
 }
 
 /// Snapshot the out-of-core configuration — the platform's fault path and
-/// the registry's `budget_bytes` — and the process-wide spill counters for
-/// `/v1/stats`.
+/// the budget of the registry's [`EngineConfig`] — and the process-wide spill
+/// counters for `/v1/stats`.
 fn residency_stats(budget_bytes: u64) -> ResidencyStats {
     let counters = sigfim_datasets::spill_counters();
     ResidencyStats {
@@ -82,6 +84,51 @@ macro_rules! relock {
     ($guard:expr) => {
         $guard.unwrap_or_else(|poisoned| poisoned.into_inner())
     };
+}
+
+/// How a registry builds and configures every engine it makes from a
+/// dataset: the tenants registered by [`EngineRegistry::register_dataset`]
+/// (a front-end's command-line datasets), uploaded by
+/// `PUT /v1/datasets/<id>` and restored by [`EngineRegistry::attach_db`]. A
+/// front-end passes its `--swap-null`, `--backend`, `--threads` and
+/// `--shard-residency` here once. The default is the engine's own default:
+/// the Bernoulli null, the `Auto` backend, every core, resident shards.
+#[derive(Debug, Default)]
+pub struct EngineConfig {
+    /// Swap attempts per incidence of the swap-randomization null; `None`
+    /// selects the paper's Bernoulli null.
+    pub swap_null: Option<f64>,
+    /// The dataset backend of every engine.
+    pub backend: DatasetBackend,
+    /// Monte-Carlo worker threads: 0 = all cores, 1 = sequential.
+    pub threads: usize,
+    /// The shard residency of every engine (`None` keeps shards resident).
+    pub residency: Option<ShardResidency>,
+}
+
+impl EngineConfig {
+    /// Build the engine for `dataset`. The residency is attached before the
+    /// backend, so a sharded store is built (and spilled) once.
+    fn build(&self, dataset: TransactionDataset) -> Result<DynAnalysisEngine, CoreError> {
+        let mut engine = match self.swap_null {
+            Some(swaps) => AnalysisEngine::with_swap_null(dataset, swaps)?.into_dyn(),
+            None => AnalysisEngine::from_dataset(dataset)?.into_dyn(),
+        };
+        if let Some(residency) = &self.residency {
+            engine = engine.with_shard_residency(residency.clone());
+        }
+        if engine.backend() != self.backend {
+            engine = engine.with_backend(self.backend);
+        }
+        Ok(engine.with_threads(self.threads))
+    }
+
+    /// The shard-residency budget `/v1/stats` reports (0 = none).
+    fn residency_budget_bytes(&self) -> u64 {
+        self.residency
+            .as_ref()
+            .map_or(0, |residency| residency.budget_bytes)
+    }
 }
 
 /// Dataset ids → engines, with one shared threshold store across all of them.
@@ -134,9 +181,8 @@ pub struct EngineRegistry {
     /// The durability layer, once [`EngineRegistry::attach_db`] wires one
     /// up. `None` = fully in-memory service (the pre-store behaviour).
     persist: Mutex<Option<ServiceDb>>,
-    /// The shard-residency budget the front-end gave its engines, reported
-    /// by `/v1/stats` (0 = none).
-    residency_budget_bytes: u64,
+    /// How every engine built from a dataset is configured.
+    engine_config: EngineConfig,
 }
 
 impl Default for EngineRegistry {
@@ -209,14 +255,14 @@ impl EngineRegistry {
             threshold_requests: AtomicU64::new(0),
             jobs: Arc::new(JobTable::new(queue_capacity)),
             persist: Mutex::new(None),
-            residency_budget_bytes: 0,
+            engine_config: EngineConfig::default(),
         }
     }
 
-    /// Record the shard-residency budget (`--shard-residency`) the front-end
-    /// attaches to the engines it registers, for `/v1/stats`.
-    pub fn with_residency_budget(mut self, budget_bytes: u64) -> Self {
-        self.residency_budget_bytes = budget_bytes;
+    /// Build every engine this registry makes from a dataset with `config`;
+    /// `/v1/stats` reports its residency budget.
+    pub fn with_engine_config(mut self, config: EngineConfig) -> Self {
+        self.engine_config = config;
         self
     }
 
@@ -225,7 +271,8 @@ impl EngineRegistry {
         self.store.clone()
     }
 
-    /// Register `dataset` under `id` with the paper's Bernoulli null derived
+    /// Register `dataset` under `id`, built by the registry's
+    /// [`EngineConfig`]: by default with the paper's Bernoulli null derived
     /// from it.
     ///
     /// # Errors
@@ -237,8 +284,8 @@ impl EngineRegistry {
         id: impl Into<String>,
         dataset: TransactionDataset,
     ) -> Result<(), ApiError> {
-        let engine = AnalysisEngine::from_dataset(dataset).map_err(map_core_error)?;
-        self.register_engine(id, engine.into_dyn())
+        let engine = self.engine_config.build(dataset).map_err(map_core_error)?;
+        self.register_engine(id, engine)
     }
 
     /// Register a pre-built engine (any null model, any backend/policy
@@ -673,7 +720,7 @@ impl EngineRegistry {
             replicates: sigfim_core::replicate_stats(),
             jobs: self.jobs.stats(),
             store: relock!(self.persist.lock()).as_ref().map(ServiceDb::stats),
-            residency: residency_stats(self.residency_budget_bytes),
+            residency: residency_stats(self.engine_config.residency_budget_bytes()),
         }
     }
 
@@ -896,6 +943,26 @@ mod tests {
         // Compaction preserved the live payload.
         assert_eq!(registry.engines().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn registered_datasets_take_the_configured_null_model() {
+        let dataset = sample_dataset(10);
+        let swap = EngineRegistry::new().with_engine_config(EngineConfig {
+            swap_null: Some(2.0),
+            ..EngineConfig::default()
+        });
+        swap.register_dataset("d", dataset.clone()).unwrap();
+        let expected = AnalysisEngine::with_swap_null(dataset.clone(), 2.0)
+            .unwrap()
+            .fingerprint();
+        assert_eq!(swap.engines()[0].fingerprint, expected);
+        let bernoulli = EngineRegistry::new();
+        bernoulli.register_dataset("d", dataset.clone()).unwrap();
+        assert_eq!(
+            bernoulli.engines()[0].fingerprint,
+            BernoulliModel::from_dataset(&dataset).fingerprint()
+        );
     }
 
     #[test]

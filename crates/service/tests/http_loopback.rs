@@ -20,9 +20,10 @@ use rand::SeedableRng;
 use sigfim_core::engine::{AnalysisEngine, AnalysisRequest, CacheStatus};
 use sigfim_datasets::random::BernoulliModel;
 use sigfim_datasets::transaction::TransactionDataset;
+use sigfim_datasets::{DatasetBackend, ShardResidency};
 use sigfim_service::http::{serve, ServerConfig, ServerHandle};
 use sigfim_service::{
-    ApiRequest, ApiResponse, ApiResult, EngineRegistry, ModelSpec, PROTOCOL_VERSION,
+    ApiRequest, ApiResponse, ApiResult, EngineConfig, EngineRegistry, ModelSpec, PROTOCOL_VERSION,
 };
 
 fn sample_dataset(seed: u64) -> TransactionDataset {
@@ -527,4 +528,49 @@ fn transport_errors_carry_the_typed_taxonomy_and_statuses() {
     assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
 
     server.shutdown();
+}
+
+#[test]
+fn uploaded_tenants_take_the_registry_engine_config() {
+    // A PUT-uploaded dataset must carry the registry's backend, threads and
+    // shard residency, exactly like a tenant listed on the command line.
+    let spill_dir =
+        std::env::temp_dir().join(format!("sigfim-loopback-config-{}", std::process::id()));
+    let config = EngineConfig {
+        backend: DatasetBackend::Sharded,
+        threads: 1,
+        residency: Some(ShardResidency {
+            dir: Some(spill_dir.clone()),
+            ..ShardResidency::with_budget(4096)
+        }),
+        ..EngineConfig::default()
+    };
+    let registry = Arc::new(EngineRegistry::new().with_engine_config(config));
+    let server = start_server(Arc::clone(&registry), 2);
+    let addr = server.addr();
+
+    let mut fimi = Vec::new();
+    sigfim_datasets::fimi::write_fimi(&sample_dataset(61), &mut fimi).unwrap();
+    let fimi = String::from_utf8(fimi).unwrap();
+    let (status, body) = http_call(addr, "PUT", "/v1/datasets/uploaded", &fimi);
+    assert_eq!(status, 200, "{body}");
+
+    let (status, body) = http_call(addr, "GET", "/v1/engines", "");
+    assert_eq!(status, 200);
+    assert!(body.contains(r#""backend":"Sharded""#), "{body}");
+    let (status, body) = http_call(addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200);
+    assert!(body.contains(r#""budget_bytes":4096"#), "{body}");
+
+    // The spilled sharded tenant analyzes like any other.
+    let request = AnalysisRequest::for_k(2).with_replicates(4);
+    let (status, response) = post_envelope(
+        addr,
+        "/v1/analyze",
+        &ApiRequest::analyze("uploaded", request),
+    );
+    assert_eq!(status, 200, "{response:?}");
+    server.shutdown();
+    drop(registry);
+    let _ = std::fs::remove_dir_all(&spill_dir);
 }

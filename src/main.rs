@@ -60,14 +60,16 @@ use sigfim::datasets::bitmap::{DatasetBackend, ResolvedBackend};
 use sigfim::datasets::fimi::read_fimi_file;
 use sigfim::datasets::kernels::{configure_kernels, KernelMode};
 use sigfim::datasets::transaction::TransactionDataset;
-use sigfim::datasets::{configure_sampler, parse_budget_bytes, SamplerMode, ShardResidency};
+use sigfim::datasets::{
+    configure_sampler, parse_budget_bytes, sweep_stale_spill_dirs, SamplerMode, ShardResidency,
+};
 use sigfim::mining::miner::MinerKind;
 use sigfim::mining::tuned_miner;
 use sigfim::prelude::{
     AnalysisEngine, AnalysisRequest, CacheStatus, DatasetSummary, DynAnalysisEngine, LambdaMode,
 };
 use sigfim::service::http::{serve, ServerConfig};
-use sigfim::service::EngineRegistry;
+use sigfim::service::{EngineConfig, EngineRegistry};
 
 #[derive(Debug)]
 struct CliOptions {
@@ -468,38 +470,42 @@ fn serve_main(options: &ServeOptions) -> Result<(), String> {
     configure_kernel_startup(options.kernels, options.sampler)?;
     // Spill files belong next to the rest of the service state: under
     // --data-dir they survive operator inspection and share the volume's
-    // capacity planning.
-    let residency = options.shard_residency.map(|budget| ShardResidency {
-        dir: options
-            .data_dir
-            .as_ref()
-            .map(|dir| std::path::Path::new(dir).join("spill")),
-        ..ShardResidency::with_budget(budget)
-    });
+    // capacity planning. A server stopped by a signal leaves its spill
+    // directories behind, so startup sweeps those of dead processes.
+    let spill_dir = options
+        .data_dir
+        .as_ref()
+        .map(|dir| std::path::Path::new(dir).join("spill"));
+    if let Some(dir) = &spill_dir {
+        match sweep_stale_spill_dirs(dir) {
+            Ok(0) => {}
+            Ok(removed) => println!(
+                "removed {removed} stale spill directories under `{}`",
+                dir.display()
+            ),
+            Err(error) => eprintln!("warning: cannot sweep `{}`: {error}", dir.display()),
+        }
+    }
+    let engine_config = EngineConfig {
+        swap_null: options.swap_null,
+        backend: options.backend,
+        threads: options.threads,
+        residency: options.shard_residency.map(|budget| ShardResidency {
+            dir: spill_dir,
+            ..ShardResidency::with_budget(budget)
+        }),
+    };
     let registry = Arc::new(
         EngineRegistry::with_capacities(options.cache_capacity, options.queue_capacity)
-            .with_residency_budget(options.shard_residency.unwrap_or(0)),
+            .with_engine_config(engine_config),
     );
     for (id, path) in &options.datasets {
         let labeled =
             read_fimi_file(path).map_err(|error| format!("cannot read `{path}`: {error}"))?;
         let dataset = labeled.dataset;
         let summary = DatasetSummary::from_dataset(&dataset);
-        let mut engine: DynAnalysisEngine = match options.swap_null {
-            Some(swaps) => {
-                AnalysisEngine::with_swap_null(dataset, swaps).map(AnalysisEngine::into_dyn)
-            }
-            None => AnalysisEngine::from_dataset(dataset).map(AnalysisEngine::into_dyn),
-        }
-        .map_err(|error| format!("cannot build an engine for `{id}`: {error}"))?;
-        if let Some(residency) = &residency {
-            engine = engine.with_shard_residency(residency.clone());
-        }
-        let engine = engine
-            .with_backend(options.backend)
-            .with_threads(options.threads);
         registry
-            .register_engine(id.clone(), engine)
+            .register_dataset(id.clone(), dataset)
             .map_err(|error| format!("cannot register `{id}`: {error}"))?;
         println!(
             "registered `{id}`: {} transactions, {} items, avg length {:.2}",
