@@ -174,9 +174,9 @@ fn bench_apriori_level_counting(c: &mut Criterion) {
 }
 
 /// The kernel-dispatch axis: the same AND + popcount workload under each
-/// kernel the machine supports, against the forced-scalar baseline (the
-/// pre-kernel behaviour — what `SIGFIM_KERNELS=scalar` pins the whole process
-/// to).
+/// kernel the machine supports, against the scalar baseline (the pre-kernel
+/// behaviour, reached through `kernels_for(KernelMode::Scalar)`; the
+/// process-wide dispatch always runs the widest supported kernel).
 ///
 /// The workload is the inner loop of `count_candidates_bitmap` made explicit:
 /// for each of the 256 three-item candidates, seed a scratch buffer from the

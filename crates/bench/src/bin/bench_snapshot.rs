@@ -234,9 +234,8 @@ fn main() {
 
     // Replicate-loop fills: the legacy cellwise (fused-count) sampler vs the
     // geometric-jump gaps sampler, one `(seed, replicate)` substream per
-    // replicate exactly as Algorithm 1 draws them, across the density axis
-    // the `auto` sampler gate discriminates on (gaps is O(set bits), so its
-    // advantage grows as density falls).
+    // replicate exactly as Algorithm 1 draws them, at two densities (gaps is
+    // O(set bits), so its advantage grows as density falls).
     const REPLICATES: u64 = 8;
     for density in [0.02f64, 0.05] {
         let model = BernoulliModel::new(TRANSACTIONS, vec![density; ITEMS]).unwrap();

@@ -65,7 +65,7 @@ use serde::{Deserialize, Serialize};
 
 use sigfim_datasets::bitmap::{BitmapDataset, DatasetBackend, ResolvedBackend};
 use sigfim_datasets::random::{BernoulliModel, BoxedNullModel, NullModel, SwapRandomizationModel};
-use sigfim_datasets::sampler::{resolve_sampler, ResolvedSampler, SamplerMode};
+use sigfim_datasets::sampler::{ResolvedSampler, SamplerMode};
 use sigfim_datasets::sharded::ShardedBitmapDataset;
 use sigfim_datasets::spill::{ShardResidency, SpillSnapshot};
 use sigfim_datasets::summary::DatasetSummary;
@@ -396,11 +396,10 @@ struct ThresholdKey {
     seed: u64,
     backend: DatasetBackend,
     max_restarts: usize,
-    /// The *resolved* replicate sampler ([`resolve_sampler`]): samplers read
-    /// different RNG streams, so estimates only replay within one sampler.
-    /// Under `gaps` the backend slot is normalized to `Bitmap` — the gaps
-    /// sampler always rides the scratch-bitmap path whatever the configured
-    /// backend resolves to.
+    /// The *resolved* replicate sampler: samplers read different RNG
+    /// streams, so estimates only replay within one sampler. Engines always
+    /// run the default `cellwise` sampler; the field keeps the key (and the
+    /// persisted [`ThresholdRecord::storage_key`]) in its established shape.
     sampler: ResolvedSampler,
 }
 
@@ -1406,26 +1405,16 @@ impl<M: NullModel + Sync> AnalysisEngine<M> {
         request: &AnalysisRequest,
         observer: &dyn ProgressObserver,
     ) -> Result<(ThresholdEstimate, CacheStatus)> {
-        let sampler = resolve_sampler(
-            SamplerMode::Auto,
-            self.model.supports_gaps_sampler(),
-            self.model.expected_density(),
-        );
         let key = ThresholdKey {
             fingerprint: self.fingerprint,
             k,
             epsilon_bits: request.epsilon.to_bits(),
             replicates: request.replicates,
             seed: request.seed,
-            // The gaps sampler rides the scratch-bitmap path whatever the
-            // configured backend: normalize so configs differing only in a
-            // backend name the gaps path ignores share entries.
-            backend: match sampler {
-                ResolvedSampler::Gaps => DatasetBackend::Bitmap,
-                ResolvedSampler::Cellwise => replicate_path_backend(self.backend, &self.model),
-            },
+            backend: replicate_path_backend(self.backend, &self.model),
             max_restarts: request.max_restarts,
-            sampler,
+            // `SamplerMode::Auto` below resolves to the cellwise sampler.
+            sampler: ResolvedSampler::Cellwise,
         };
         if let Some(estimate) = self.store.get(&key) {
             observer.threshold_cache_hit(k);

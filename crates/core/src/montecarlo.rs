@@ -56,12 +56,13 @@ pub struct FindPoissonThreshold {
     /// floor turns out to be inside the Poisson region already (lines 19–22 of the
     /// pseudocode) or no itemset reaches it (lines 7–9).
     pub max_restarts: usize,
-    /// How each replicate's random dataset is drawn (`SIGFIM_SAMPLER`).
-    /// [`SamplerMode::Auto`] defers to the process-wide mode; `cellwise` is the
-    /// legacy per-cell sampler, `gaps` the geometric-jump sparse sampler that
-    /// touches only set bits. The two samplers consume *different* RNG streams,
-    /// so — unlike backends and policies, which are bit-identical — estimates
-    /// are only reproducible within one sampler mode.
+    /// How each replicate's random dataset is drawn. [`SamplerMode::Auto`]
+    /// (the default) and `cellwise` are the legacy per-cell sampler; `gaps`
+    /// is the geometric-jump sparse sampler that touches only set bits, used
+    /// when the model supports it. This field is the only way to select
+    /// `gaps`. The two samplers consume *different* RNG streams, so — unlike
+    /// backends and policies, which are bit-identical — estimates are only
+    /// reproducible within one sampler mode.
     pub sampler: SamplerMode,
 }
 

@@ -4,12 +4,12 @@
 //! **bit-identical** Monte-Carlo estimates for the same seed, at every thread
 //! count. This is what makes `--backend` a pure performance knob.
 //!
-//! CI runs this suite twice per kernel dispatch mode — with
-//! `SIGFIM_KERNELS=scalar` and `SIGFIM_KERNELS=auto` — and with test-harness
-//! worker counts of 1 and 8 on top of the explicit `ExecutionPolicy` matrix
-//! below, so a regression in the RNG-consumption contract of
-//! `sample_into_bitmap`, the bitset Eclat, the SIMD counting kernels, or the
-//! fixed-order shard reduction shows up as a hard failure.
+//! Every counting kernel the CPU supports is checked against the scalar
+//! baseline in-process, on live column data. CI runs this suite with
+//! test-harness worker counts of 1 and 8 on top of the explicit
+//! `ExecutionPolicy` matrix below, so a regression in the RNG-consumption
+//! contract of `sample_into_bitmap`, the bitset Eclat, the SIMD counting
+//! kernels, or the fixed-order shard reduction shows up as a hard failure.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -286,24 +286,35 @@ fn backend_parity_poisson_fit_replicate_loop() {
 
 #[test]
 fn kernel_dispatch_is_invisible_to_full_reports() {
-    // Whatever SIGFIM_KERNELS selected for this process (CI runs the suite
-    // under both `scalar` and `auto`), the dispatched kernel must agree with
-    // the forced-scalar kernel on live column data — the in-process half of
-    // the cross-process dispatch-parity contract.
+    // Every kernel this CPU supports — `auto`, the one the process-wide
+    // `kernels()` dispatch runs, included — must agree with the scalar
+    // kernel on all four operations over live column data.
     use sigfim_datasets::kernels::{kernels, kernels_for, KernelMode};
     let dataset = planted_dataset(61);
     let bitmap = sigfim_datasets::BitmapDataset::from_dataset(&dataset);
     let scalar = kernels_for(KernelMode::Scalar);
-    let dispatched = kernels();
+    assert!(std::ptr::eq(kernels(), kernels_for(KernelMode::Auto)));
     let columns: Vec<&[u64]> = (0..dataset.num_items()).map(|i| bitmap.column(i)).collect();
-    for pair in columns.windows(2) {
-        assert_eq!(
-            dispatched.and_count(pair[0], pair[1]),
-            scalar.and_count(pair[0], pair[1])
-        );
-        assert_eq!(
-            dispatched.popcount_slice(pair[0]),
-            scalar.popcount_slice(pair[0])
-        );
+    let modes = KernelMode::supported();
+    assert!(modes.contains(&KernelMode::Auto) && modes.contains(&KernelMode::Scalar));
+    for mode in modes {
+        let kernel = kernels_for(mode);
+        for pair in columns.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            let expected = scalar.and_count(a, b);
+            assert_eq!(kernel.and_count(a, b), expected, "{mode} and_count");
+            assert_eq!(
+                kernel.popcount_slice(a),
+                scalar.popcount_slice(a),
+                "{mode} popcount_slice"
+            );
+            let reference: Vec<u64> = a.iter().zip(b).map(|(x, y)| x & y).collect();
+            let mut dst = a.to_vec();
+            assert_eq!(kernel.and_count_into(&mut dst, b), expected, "{mode}");
+            assert_eq!(dst, reference, "{mode} and_count_into words");
+            let mut out = vec![u64::MAX; a.len()];
+            assert_eq!(kernel.and_into(&mut out, a, b), expected, "{mode}");
+            assert_eq!(out, reference, "{mode} and_into words");
+        }
     }
 }

@@ -20,14 +20,11 @@
 //!   `avx512f`) succeeds.
 //!
 //! All kernels compute **exact integer popcounts**, so every dispatch choice
-//! returns bit-identical results — the backend-parity and engine-parity suites
-//! run under forced `scalar` and `auto` dispatch in CI to enforce exactly
-//! that. Selection is automatic (`auto` is a static rule: the widest kernel
-//! the CPU supports, AVX-512, then AVX2, then scalar) and can be overridden
-//! for testing and benchmarking with the `SIGFIM_KERNELS` environment
-//! variable (`scalar`, `avx2`, `avx512` or `auto`), read once at first use.
-//! Front-ends should validate overrides at startup with [`configure_kernels`]
-//! instead of letting the first dispatch panic deep inside a mining call.
+//! returns bit-identical results. The process-wide [`kernels`] dispatch is a
+//! static rule with no override: `auto`, the widest kernel the CPU supports
+//! (AVX-512, then AVX2, then scalar). Tests and benchmarks reach a specific
+//! kernel through [`kernels_for`]; the parity suites loop over every
+//! [`KernelMode::supported`] mode in-process.
 
 use std::sync::OnceLock;
 
@@ -50,7 +47,7 @@ pub enum KernelMode {
 }
 
 impl KernelMode {
-    /// Every mode, for configuration surfaces and test matrices.
+    /// Every mode, for test and benchmark matrices.
     pub const ALL: [KernelMode; 4] = [
         KernelMode::Auto,
         KernelMode::Scalar,
@@ -58,7 +55,7 @@ impl KernelMode {
         KernelMode::Avx512,
     ];
 
-    /// Environment-variable / command-line name.
+    /// The mode's name (`auto`, `scalar`, `avx2` or `avx512`).
     pub fn name(&self) -> &'static str {
         match self {
             KernelMode::Auto => "auto",
@@ -86,22 +83,6 @@ impl KernelMode {
             .into_iter()
             .filter(KernelMode::is_supported)
             .collect()
-    }
-}
-
-impl std::str::FromStr for KernelMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(KernelMode::Auto),
-            "scalar" => Ok(KernelMode::Scalar),
-            "avx2" => Ok(KernelMode::Avx2),
-            "avx512" => Ok(KernelMode::Avx512),
-            other => Err(format!(
-                "unknown kernel mode `{other}` (expected auto, scalar, avx2 or avx512)"
-            )),
-        }
     }
 }
 
@@ -277,125 +258,15 @@ pub fn kernels_for(mode: KernelMode) -> &'static Kernels {
     }
 }
 
-/// Explicit process-wide mode override installed by [`configure_kernels`];
-/// read before the environment variable by [`kernels`].
-static MODE_OVERRIDE: OnceLock<KernelMode> = OnceLock::new();
-
 static DISPATCH: OnceLock<&'static Kernels> = OnceLock::new();
 
-/// The process-wide dispatched kernels: the [`configure_kernels`] override if
-/// installed, otherwise `SIGFIM_KERNELS` if set (one of `scalar`, `avx2`,
-/// `avx512`, `auto`), otherwise `auto`, which [`kernels_for`] resolves to the
-/// widest kernel the CPU supports. The environment variable is read once, at
-/// the first call.
-///
-/// # Panics
-///
-/// Panics (at first use) when `SIGFIM_KERNELS` names an unknown mode or
-/// forces a SIMD kernel on a CPU without it — a silent fallback would
-/// invalidate the benchmark or parity run that set the override. Front-ends
-/// should call [`configure_kernels`] at startup to turn that panic into a
-/// readable argument error.
+/// The process-wide dispatched kernels: `kernels_for(KernelMode::Auto)`, the
+/// widest kernel the CPU supports, resolved at the first call and cached,
+/// so every later call is one atomic load. Nothing overrides it: every kernel
+/// computes the same exact counts, so the pick only changes speed; tests and
+/// benchmarks that want a specific kernel call [`kernels_for`].
 pub fn kernels() -> &'static Kernels {
-    DISPATCH.get_or_init(|| {
-        let mode = match MODE_OVERRIDE.get().copied() {
-            Some(mode) => mode,
-            None => match std::env::var("SIGFIM_KERNELS") {
-                Ok(value) => value
-                    .parse::<KernelMode>()
-                    .unwrap_or_else(|error| panic!("SIGFIM_KERNELS: {error}")),
-                Err(_) => KernelMode::Auto,
-            },
-        };
-        kernels_for(mode)
-    })
-}
-
-/// Comma-separated names of every mode this CPU can actually run — the list
-/// startup validation errors print.
-pub fn supported_mode_names() -> String {
-    KernelMode::supported()
-        .iter()
-        .map(KernelMode::name)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Pure startup-validation step: combine an optional `--kernels` flag value
-/// with an optional `SIGFIM_KERNELS` environment value into the mode the
-/// process should dispatch. The flag wins, but a *conflicting* pair (both
-/// set, different modes) is an error rather than a silent preference; an
-/// unparsable environment value or a mode this CPU cannot run is reported
-/// with the list of supported modes instead of panicking at first dispatch.
-pub fn resolve_kernel_request(
-    flag: Option<KernelMode>,
-    env: Option<&str>,
-) -> Result<KernelMode, String> {
-    let env_mode = match env {
-        Some(value) => Some(value.parse::<KernelMode>().map_err(|error| {
-            format!(
-                "SIGFIM_KERNELS: {error}; this CPU supports: {}",
-                supported_mode_names()
-            )
-        })?),
-        None => None,
-    };
-    let requested = match (flag, env_mode) {
-        (Some(flag), Some(env)) if flag != env => {
-            return Err(format!(
-                "--kernels {flag} conflicts with SIGFIM_KERNELS={env}; unset one or make them agree"
-            ));
-        }
-        (Some(flag), _) => flag,
-        (None, Some(env)) => env,
-        (None, None) => KernelMode::Auto,
-    };
-    if !requested.is_supported() {
-        return Err(format!(
-            "kernel mode `{requested}` is not supported on this CPU (supported: {})",
-            supported_mode_names()
-        ));
-    }
-    Ok(requested)
-}
-
-/// Install `mode` as the process-wide dispatch, resolving it immediately.
-/// Fails (instead of silently losing) when the dispatch already resolved to
-/// something else — either via an earlier install or because a counting call
-/// ran before configuration.
-pub fn install_kernel_mode(mode: KernelMode) -> Result<&'static Kernels, String> {
-    if !mode.is_supported() {
-        return Err(format!(
-            "kernel mode `{mode}` is not supported on this CPU (supported: {})",
-            supported_mode_names()
-        ));
-    }
-    let installed = *MODE_OVERRIDE.get_or_init(|| mode);
-    if installed != mode {
-        return Err(format!(
-            "kernel mode already configured as `{installed}`; cannot re-configure as `{mode}`"
-        ));
-    }
-    let resolved = kernels();
-    let expected = kernels_for(mode);
-    if !std::ptr::eq(resolved, expected) {
-        return Err(format!(
-            "kernel dispatch already resolved to `{}` before configuration; \
-             configure kernels before the first counting call",
-            resolved.name()
-        ));
-    }
-    Ok(resolved)
-}
-
-/// Startup entry point for the CLI and server: validate the `--kernels` flag
-/// against `SIGFIM_KERNELS` ([`resolve_kernel_request`]) and install the
-/// result as the process-wide dispatch. Returns the resolved kernels so the
-/// caller can report the concrete implementation that will run.
-pub fn configure_kernels(flag: Option<KernelMode>) -> Result<&'static Kernels, String> {
-    let env = std::env::var("SIGFIM_KERNELS").ok();
-    let requested = resolve_kernel_request(flag, env.as_deref())?;
-    install_kernel_mode(requested)
+    DISPATCH.get_or_init(|| kernels_for(KernelMode::Auto))
 }
 
 mod scalar {
@@ -742,19 +613,14 @@ mod tests {
     }
 
     #[test]
-    fn mode_parsing_and_support() {
+    fn mode_names_and_support() {
         for mode in KernelMode::ALL {
-            assert_eq!(mode.name().parse::<KernelMode>().unwrap(), mode);
             assert_eq!(mode.to_string(), mode.name());
         }
-        assert!("sse9".parse::<KernelMode>().is_err());
-        assert!("unrolled".parse::<KernelMode>().is_err());
         assert_eq!(KernelMode::default(), KernelMode::Auto);
         assert!(KernelMode::Scalar.is_supported());
         assert!(KernelMode::supported().contains(&KernelMode::Auto));
-        // The supported-list helper names every runnable mode.
-        let names = supported_mode_names();
-        assert!(names.contains("scalar") && names.contains("auto"));
+        assert!(KernelMode::supported().contains(&KernelMode::Scalar));
     }
 
     #[test]
@@ -766,46 +632,8 @@ mod tests {
         assert_eq!(auto.name(), static_auto_mode().name());
         assert_eq!(kernels_for(KernelMode::Scalar).name(), "scalar");
         assert!(format!("{auto:?}").contains(auto.name()));
-        // With no override installed, process dispatch and `kernels_for(Auto)`
-        // are one rule: nothing measured at startup can make them disagree.
-        if std::env::var_os("SIGFIM_KERNELS").is_none() && MODE_OVERRIDE.get().is_none() {
-            assert_eq!(dispatched.name(), auto.name());
-        }
-    }
-
-    #[test]
-    fn startup_validation_resolves_flag_and_env() {
-        // Flag alone, env alone, neither.
-        assert_eq!(
-            resolve_kernel_request(Some(KernelMode::Scalar), None).unwrap(),
-            KernelMode::Scalar
-        );
-        assert_eq!(
-            resolve_kernel_request(None, Some("scalar")).unwrap(),
-            KernelMode::Scalar
-        );
-        assert_eq!(
-            resolve_kernel_request(None, None).unwrap(),
-            KernelMode::Auto
-        );
-        // Agreement is fine; conflict errors loudly naming both sources.
-        assert_eq!(
-            resolve_kernel_request(Some(KernelMode::Auto), Some("auto")).unwrap(),
-            KernelMode::Auto
-        );
-        let conflict = resolve_kernel_request(Some(KernelMode::Scalar), Some("auto")).unwrap_err();
-        assert!(conflict.contains("--kernels scalar"), "{conflict}");
-        assert!(conflict.contains("SIGFIM_KERNELS=auto"), "{conflict}");
-        // Unknown env values surface the supported-mode list at startup
-        // instead of panicking at first dispatch.
-        let unknown = resolve_kernel_request(None, Some("sse9")).unwrap_err();
-        assert!(unknown.contains("supports"), "{unknown}");
-        assert!(unknown.contains("scalar"), "{unknown}");
-        // An unsupported SIMD mode is rejected with the supported list.
-        if !KernelMode::Avx512.is_supported() {
-            let err = resolve_kernel_request(Some(KernelMode::Avx512), None).unwrap_err();
-            assert!(err.contains("not supported"), "{err}");
-            assert!(err.contains("scalar"), "{err}");
-        }
+        // Process dispatch and `kernels_for(Auto)` are one rule: nothing
+        // measured or configured at startup can make them disagree.
+        assert!(std::ptr::eq(dispatched, auto));
     }
 }

@@ -16,13 +16,13 @@
 //!   [`bitmap::DatasetBackend`] heuristic decides when it beats CSR.
 //! * [`mod@kernels`] — the runtime-dispatched counting kernels (scalar / AVX2 /
 //!   AVX-512 `VPOPCNTDQ` popcount + wide AND) every dense counting loop
-//!   funnels through, with a `SIGFIM_KERNELS` override for testing and
-//!   benchmarking and startup validation for front-ends.
+//!   funnels through, dispatched by a static rule (the widest the CPU has).
 //! * [`mod@tune`] — the process's static configuration picks (the kernel
-//!   `auto` resolves to, the sampler `auto` prefers), as one reportable value.
-//! * [`mod@sampler`] — the replicate sampling strategy selector
-//!   (`SIGFIM_SAMPLER=cellwise|gaps|auto`): the legacy cellwise sampler vs.
-//!   the geometric-jump sparse sampler with fused k = 1 counting.
+//!   `auto` resolves to, the sampler `auto` resolves to), as one reportable
+//!   value.
+//! * [`mod@sampler`] — the per-run replicate sampling strategy: the legacy
+//!   cellwise sampler (the default) vs. the geometric-jump sparse sampler
+//!   with fused k = 1 counting.
 //! * [`sharded::ShardedBitmapDataset`] — the one shard store: the transaction
 //!   axis split into word-aligned row-range shards, so one dataset's counting
 //!   pass can fan out across workers with bit-identical results. Its shards
@@ -91,12 +91,9 @@ pub mod view;
 
 pub use benchmarks::{BenchmarkDataset, BenchmarkSpec};
 pub use bitmap::{BitmapDataset, DatasetBackend, ResolvedBackend};
-pub use kernels::{configure_kernels, kernels, kernels_for, KernelMode, Kernels};
+pub use kernels::{kernels, kernels_for, KernelMode, Kernels};
 pub use random::BernoulliModel;
-pub use sampler::{
-    configure_sampler, process_sampler_mode, resolve_sampler, resolve_sampler_request,
-    ResolvedSampler, SamplerMode, GAPS_DENSITY_THRESHOLD,
-};
+pub use sampler::{resolve_sampler, ResolvedSampler, SamplerMode};
 pub use sharded::ShardedBitmapDataset;
 pub use spill::{
     parse_budget_bytes, spill_counters, sweep_stale_spill_dirs, ResidencySet, ShardGuard,

@@ -191,7 +191,7 @@ impl BernoulliModel {
         supports
     }
 
-    /// Geometric-jump sparse sampling (`SIGFIM_SAMPLER=gaps`): per item,
+    /// Geometric-jump sparse sampling (the `gaps` sampler): per item,
     /// draw only the set bits via geometric skip distances
     /// ([`sample_bernoulli_indices_by_gaps`]) and write them word-wise into
     /// the column, accumulating the popcount as it goes. `O(set bits)` draws

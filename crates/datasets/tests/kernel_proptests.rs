@@ -2,9 +2,9 @@
 //! supports (scalar, AVX2 and AVX-512 where detected) must return identical
 //! values — and write identical words — for random lengths (including 0, 1,
 //! and non-multiple-of-4 word tails) and random bit patterns, on all four
-//! vtable operations. CI runs this suite under both `SIGFIM_KERNELS=scalar`
-//! and `SIGFIM_KERNELS=auto`, so the process-wide dispatch path is exercised
-//! against the forced baseline too.
+//! vtable operations. Every mode is reached in-process through
+//! `kernels_for`, and the process-wide `kernels()` dispatch (the static
+//! `auto` rule) is checked against the scalar baseline too.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -44,8 +44,8 @@ proptest! {
             prop_assert_eq!(&out, &expected_words, "{} and_into words", mode);
         }
 
-        // The process-wide dispatch (whatever SIGFIM_KERNELS selected for this
-        // run) agrees with the forced baseline too.
+        // The process-wide dispatch (the widest kernel this CPU supports)
+        // agrees with the scalar baseline too.
         prop_assert_eq!(kernels().and_count(a, b), expected_count);
         prop_assert_eq!(kernels().popcount_slice(b), scalar.popcount_slice(b));
     }

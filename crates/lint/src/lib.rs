@@ -5,7 +5,7 @@
 //! across backends × kernels × samplers × thread counts — is enforced
 //! dynamically by the parity suites, but the invariant *surface* (no
 //! hash-order iteration in result paths, `#[target_feature]` fns confined to
-//! detection-gated dispatch, `SIGFIM_*` reads behind the typed config seams,
+//! detection-gated dispatch, no `SIGFIM_*` environment reads,
 //! additive wire evolution, reviewable lock discipline, checked store I/O)
 //! is structural. This
 //! crate checks it at CI time, before a parity test can flake, with a small

@@ -1,13 +1,12 @@
-//! `env-read-centralized`: `SIGFIM_*` environment variables are read only in
-//! the designated config modules.
+//! `env-read-centralized`: no `SIGFIM_*` environment variable is read
+//! anywhere in the workspace.
 //!
-//! Runtime configuration changes dispatch (kernels, samplers), and dispatch
-//! changes must stay visible in one place per axis — a stray
-//! `std::env::var("SIGFIM_...")` deep inside a caller bypasses the startup
-//! validation (`configure_kernels` / `configure_sampler`) that turns
-//! misconfiguration into a clean error instead of a panic at first dispatch.
-//! Everything else must go through the typed accessors those modules export.
-//! Shard residency is a per-engine value, so the spill module is not a seam.
+//! Every dispatch axis is a static rule (kernels) or a per-run or
+//! per-engine value (sampler, backend, miner, shard residency), so there is
+//! no process-wide configuration seam left to read the environment. A
+//! `std::env::var("SIGFIM_...")` would bring back a hidden process-global
+//! switch that no report, cache key or stats endpoint shows; pass the value
+//! through the typed configuration of the engine or request instead.
 
 use super::report;
 use crate::scan::SourceFile;
@@ -15,17 +14,8 @@ use crate::Diagnostic;
 
 const RULE: &str = "env-read-centralized";
 
-/// The designated config seams (the only files allowed to read `SIGFIM_*`).
-const ALLOWED_FILES: [&str; 2] = [
-    "crates/datasets/src/sampler.rs",
-    "crates/datasets/src/kernels.rs",
-];
-
 pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     for file in files {
-        if ALLOWED_FILES.contains(&file.path.as_str()) {
-            continue;
-        }
         for (lineno, line) in file.lines.iter().enumerate() {
             let reads_env = line.code.contains("env::var");
             let sigfim = line
@@ -39,9 +29,8 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
                     lineno,
                     RULE,
                     format!(
-                        "`{var}` read outside the designated config modules ({}); route it \
-                         through a typed accessor there",
-                        ALLOWED_FILES.join(", ")
+                        "`{var}` read from the environment; sigfim has no process-wide \
+                         switches, so pass it through the engine or request configuration"
                     ),
                     out,
                 );

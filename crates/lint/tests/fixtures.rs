@@ -250,11 +250,16 @@ fn envread_fires_outside_config_modules() {
 }
 
 #[test]
-fn envread_quiet_in_designated_files_and_for_other_vars() {
-    assert!(lint_one("crates/datasets/src/sampler.rs", ENVREAD_POSITIVE).is_empty());
-    // The former tuner modules read no configuration any more, so they are
-    // no longer config seams: a `SIGFIM_*` read there is reported.
-    for former_seam in ["crates/datasets/src/tune.rs", "crates/mining/src/tune.rs"] {
+fn envread_fires_in_former_seams_and_quiet_for_other_vars() {
+    // Kernel and sampler dispatch have no process-wide switch any more, and
+    // the tuner modules read no configuration either: no file is a config
+    // seam, so a `SIGFIM_*` read in any of them is reported.
+    for former_seam in [
+        "crates/datasets/src/kernels.rs",
+        "crates/datasets/src/sampler.rs",
+        "crates/datasets/src/tune.rs",
+        "crates/mining/src/tune.rs",
+    ] {
         let diagnostics = lint_one(former_seam, ENVREAD_POSITIVE);
         assert_eq!(
             rules_of(&diagnostics),
@@ -274,7 +279,7 @@ pub fn home() -> Option<String> {
 fn envread_spill_module_is_not_a_config_seam() {
     // Shard residency is a per-engine value, so the spill module reads no
     // configuration any more: a `SIGFIM_*` read there is reported, as it is
-    // anywhere outside the kernel and sampler modules.
+    // anywhere else.
     let diagnostics = lint_one("crates/datasets/src/spill.rs", ENVREAD_POSITIVE);
     assert_eq!(rules_of(&diagnostics), ["env-read-centralized"]);
     assert!(diagnostics[0].message.contains("SIGFIM_"));

@@ -550,8 +550,8 @@ pub struct TunerTiming {
 /// picks, as reported by `GET /v1/stats`.
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct KernelStats {
-    /// The kernel mode dispatch resolved to (e.g. `avx512`), after the
-    /// `--kernels` flag / `SIGFIM_KERNELS` override had its say.
+    /// The kernel the process-wide dispatch runs (e.g. `avx512`): the
+    /// widest one the CPU supports, so always equal to `tuner_kernel`.
     pub mode: String,
     /// Whether a startup micro-benchmark ran. Always `false` from current
     /// servers: every pick is a static rule.
@@ -565,9 +565,9 @@ pub struct KernelStats {
     /// Startup measurements behind the picks. Always empty from current
     /// servers, which measure nothing.
     pub tuner_timings: Vec<TunerTiming>,
-    /// The replicate sampler `auto` dispatch prefers when it has a choice
-    /// (the density and model gates still apply per run). Additive field,
-    /// defaulted on deserialization.
+    /// The replicate sampler an `auto` sampler request resolves to, which
+    /// every engine runs (`cellwise`). Additive field, defaulted on
+    /// deserialization.
     #[serde(default)]
     pub tuner_sampler: String,
     /// The k-itemset miner `--miner auto` picks on the multi-worker bitmap

@@ -131,6 +131,23 @@ impl EngineConfig {
     }
 }
 
+/// One registered tenant: the engine behind its lock, plus the listing
+/// snapshot captured at registration. Every `EngineInfo` field is immutable
+/// after registration (the registry owns the engine; nothing reconfigures
+/// it), so `engines()` serves the snapshot without touching live engine
+/// locks — a monitoring call never waits behind a long Monte-Carlo run.
+#[derive(Debug)]
+struct Tenant {
+    engine: Arc<Mutex<DynAnalysisEngine>>,
+    info: EngineInfo,
+    /// The profile-cache counters as last observed by [`EngineRegistry::stats`].
+    /// Served when the engine lock is held by a running analysis, so the
+    /// stats endpoint is non-blocking *and* its aggregates stay monotonic
+    /// across polls (a busy tenant reports its previous counters instead of
+    /// dropping out of the sum).
+    last_profile_stats: Arc<Mutex<sigfim_core::engine::CacheStats>>,
+}
+
 /// Dataset ids → engines, with one shared threshold store across all of them.
 ///
 /// ```
@@ -150,23 +167,6 @@ impl EngineConfig {
 ///     .unwrap();
 /// assert_eq!(response.runs.len(), 1);
 /// ```
-/// One registered tenant: the engine behind its lock, plus the listing
-/// snapshot captured at registration. Every `EngineInfo` field is immutable
-/// after registration (the registry owns the engine; nothing reconfigures
-/// it), so `engines()` serves the snapshot without touching live engine
-/// locks — a monitoring call never waits behind a long Monte-Carlo run.
-#[derive(Debug)]
-struct Tenant {
-    engine: Arc<Mutex<DynAnalysisEngine>>,
-    info: EngineInfo,
-    /// The profile-cache counters as last observed by [`EngineRegistry::stats`].
-    /// Served when the engine lock is held by a running analysis, so the
-    /// stats endpoint is non-blocking *and* its aggregates stay monotonic
-    /// across polls (a busy tenant reports its previous counters instead of
-    /// dropping out of the sum).
-    last_profile_stats: Arc<Mutex<sigfim_core::engine::CacheStats>>,
-}
-
 #[derive(Debug)]
 pub struct EngineRegistry {
     engines: RwLock<HashMap<String, Tenant>>,
@@ -835,12 +835,15 @@ mod tests {
             stats.kernels.shard_budget_bytes,
             sigfim_datasets::sharded::SHARD_L2_BUDGET_BYTES
         );
-        assert_eq!(stats.kernels.tuner_sampler, "gaps");
+        assert_eq!(stats.kernels.tuner_sampler, "cellwise");
         assert_eq!(stats.kernels.tuner_miner, "eclat");
         // And the analyses above registered in the dispatch counters — both
-        // the mining passes and the null replicates they consumed.
+        // the mining passes and the null replicates they consumed, every
+        // replicate drawn by the sampler `tuner_sampler` names.
         assert!(stats.miner_dispatch.total() > 0);
         assert!(stats.replicates.total_sampled() > 0);
+        assert_eq!(stats.replicates.sampled_gaps, 0);
+        assert!(stats.replicates.sampled_cellwise > 0);
     }
 
     #[test]

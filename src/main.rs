@@ -5,8 +5,6 @@
 //!        [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>]
 //!        [--miner apriori|eclat|fp-growth|par-eclat|auto]
 //!        [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|avx2|avx512|auto]
-//!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--max-restarts <n>] [--swap-null [<swaps-per-entry>]]
 //!        [--cache-capacity <n>] [--conservative-lambda] [--no-baseline]
@@ -14,8 +12,6 @@
 //!
 //! sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]
 //!        [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]
-//!        [--kernels scalar|avx2|avx512|auto]
-//!        [--sampler cellwise|gaps|auto]
 //!        [--shard-residency <bytes[K|M|G]>]
 //!        [--swap-null [<swaps-per-entry>]]
 //!        [--data-dir <dir>] [--queue-capacity <n>] [--job-workers <n>]
@@ -58,11 +54,8 @@ use sigfim::core::engine::DEFAULT_SEED;
 use sigfim::core::ExecutionPolicy;
 use sigfim::datasets::bitmap::{DatasetBackend, ResolvedBackend};
 use sigfim::datasets::fimi::read_fimi_file;
-use sigfim::datasets::kernels::{configure_kernels, KernelMode};
 use sigfim::datasets::transaction::TransactionDataset;
-use sigfim::datasets::{
-    configure_sampler, parse_budget_bytes, sweep_stale_spill_dirs, SamplerMode, ShardResidency,
-};
+use sigfim::datasets::{parse_budget_bytes, sweep_stale_spill_dirs, ShardResidency};
 use sigfim::mining::miner::MinerKind;
 use sigfim::mining::tuned_miner;
 use sigfim::prelude::{
@@ -100,15 +93,6 @@ struct CliOptions {
     conservative_lambda: bool,
     baseline: bool,
     list: usize,
-    /// `--kernels` counting-kernel selection, validated against this CPU at
-    /// startup. `None` defers to `SIGFIM_KERNELS`, then `auto` (the widest
-    /// kernel the CPU supports); a flag that conflicts with a set
-    /// `SIGFIM_KERNELS` is a startup error.
-    kernels: Option<KernelMode>,
-    /// `--sampler` replicate-sampler selection. `None` defers to
-    /// `SIGFIM_SAMPLER` (default `cellwise`); a flag that conflicts with a
-    /// set `SIGFIM_SAMPLER` is a startup error, mirroring `--kernels`.
-    sampler: Option<SamplerMode>,
     /// `--shard-residency <bytes>`: byte budget on resident shards of the
     /// sharded backend — beyond it, shards spill to per-shard files and
     /// fault back in on demand (LRU). `None` keeps every shard resident;
@@ -119,14 +103,12 @@ struct CliOptions {
 const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--alpha <a>] \
     [--beta <b>] [--epsilon <e>] [--replicates <n>] [--threads <n>] [--seed <n>] \
     [--miner apriori|eclat|fp-growth|par-eclat|auto] [--backend auto|csr|bitmap|sharded] \
-    [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto] \
     [--shard-residency <bytes[K|M|G]>] [--max-restarts <n>] \
     [--swap-null [<swaps-per-entry>]] [--cache-capacity <n>] [--conservative-lambda] \
     [--no-baseline] [--list <n>]\n\
     \n\
     sigfim serve [<id>=]<dataset.dat>... [--addr <host:port>] [--workers <n>]\n\
     \x20       [--cache-capacity <n>] [--threads <n>] [--backend auto|csr|bitmap|sharded]\n\
-    \x20       [--kernels scalar|avx2|avx512|auto] [--sampler cellwise|gaps|auto]\n\
     \x20       [--shard-residency <bytes[K|M|G]>] [--swap-null [<swaps-per-entry>]]\n\
     \x20       [--data-dir <dir>] [--queue-capacity <n>] [--job-workers <n>]\n\
     \n\
@@ -137,14 +119,6 @@ const USAGE: &str = "usage: sigfim <dataset.dat> [--k <size|a,b,c|lo..hi>] [--al
     --miner auto picks the sequential bitset Eclat on dense (bitmap/sharded)\n\
     datasets when more than one worker thread is available, Apriori\n\
     otherwise; every miner produces bit-identical reports.\n\
-    --kernels selects the counting kernel, validated against this CPU at\n\
-    startup; it mirrors SIGFIM_KERNELS, and a conflicting combination of flag\n\
-    and environment is an error rather than a silent preference.\n\
-    --sampler selects the null-replicate sampler (mirrors SIGFIM_SAMPLER):\n\
-    cellwise is the legacy per-cell Bernoulli draw, gaps draws only the set\n\
-    bits via geometric jumps (a different RNG stream, so estimates differ\n\
-    numerically but not statistically), auto picks gaps per run when the\n\
-    model supports it and its density is at most 0.05.\n\
     --shard-residency bounds the bytes of sharded-backend shards kept in\n\
     memory (suffixes K/M/G, powers of 1024): cold shards spill to per-shard\n\
     files and fault back on demand (via mmap where the platform supports it),\n\
@@ -200,8 +174,6 @@ fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<CliOptions, 
         conservative_lambda: false,
         baseline: true,
         list: 25,
-        kernels: None,
-        sampler: None,
         shard_residency: None,
     };
     let mut args = args.peekable();
@@ -254,14 +226,6 @@ fn parse_options<I: Iterator<Item = String>>(mut args: I) -> Result<CliOptions, 
                     other => return Err(format!("unknown miner `{other}`")),
                 };
             }
-            "--kernels" => {
-                let name = args.next().ok_or("--kernels requires a value")?;
-                options.kernels = Some(name.parse::<KernelMode>()?);
-            }
-            "--sampler" => {
-                let name = args.next().ok_or("--sampler requires a value")?;
-                options.sampler = Some(name.parse::<SamplerMode>()?);
-            }
             "--shard-residency" => {
                 let value = args.next().ok_or("--shard-residency requires a value")?;
                 options.shard_residency = Some(
@@ -291,19 +255,6 @@ fn parse_value<T: std::str::FromStr, I: Iterator<Item = String>>(
     value
         .parse()
         .map_err(|_| format!("{flag}: could not parse `{value}`"))
-}
-
-/// Validate the kernel and sampler configuration (the `--kernels` /
-/// `--sampler` flags against `SIGFIM_KERNELS` / `SIGFIM_SAMPLER` and this
-/// CPU) at startup, so misconfiguration is a clean error here instead of a
-/// panic at the first dispatch deep inside the analysis.
-fn configure_kernel_startup(
-    kernels: Option<KernelMode>,
-    sampler: Option<SamplerMode>,
-) -> Result<(), String> {
-    configure_kernels(kernels)?;
-    configure_sampler(sampler)?;
-    Ok(())
 }
 
 /// Resolve `--miner auto` once the dataset is loaded: the static
@@ -357,10 +308,6 @@ struct ServeOptions {
     threads: usize,
     backend: DatasetBackend,
     swap_null: Option<f64>,
-    /// `--kernels` counting-kernel selection (see [`CliOptions::kernels`]).
-    kernels: Option<KernelMode>,
-    /// `--sampler` replicate-sampler selection (see [`CliOptions::sampler`]).
-    sampler: Option<SamplerMode>,
     /// `--shard-residency` byte budget (see [`CliOptions::shard_residency`]).
     shard_residency: Option<u64>,
     /// `--data-dir`: directory of the durable store. `None` runs the service
@@ -399,8 +346,6 @@ fn parse_serve_options<I: Iterator<Item = String>>(args: I) -> Result<ServeOptio
         threads: 0,
         backend: DatasetBackend::Auto,
         swap_null: None,
-        kernels: None,
-        sampler: None,
         shard_residency: None,
         data_dir: None,
         queue_capacity: sigfim::service::DEFAULT_QUEUE_CAPACITY,
@@ -418,14 +363,6 @@ fn parse_serve_options<I: Iterator<Item = String>>(args: I) -> Result<ServeOptio
                 options.queue_capacity = parse_value(&mut args, "--queue-capacity")?
             }
             "--job-workers" => options.job_workers = parse_value(&mut args, "--job-workers")?,
-            "--kernels" => {
-                let name = args.next().ok_or("--kernels requires a value")?;
-                options.kernels = Some(name.parse::<KernelMode>()?);
-            }
-            "--sampler" => {
-                let name = args.next().ok_or("--sampler requires a value")?;
-                options.sampler = Some(name.parse::<SamplerMode>()?);
-            }
             "--shard-residency" => {
                 let value = args.next().ok_or("--shard-residency requires a value")?;
                 options.shard_residency = Some(
@@ -467,7 +404,6 @@ fn parse_serve_options<I: Iterator<Item = String>>(args: I) -> Result<ServeOptio
 
 /// Run the service front-end until killed.
 fn serve_main(options: &ServeOptions) -> Result<(), String> {
-    configure_kernel_startup(options.kernels, options.sampler)?;
     // Spill files belong next to the rest of the service state: under
     // --data-dir they survive operator inspection and share the volume's
     // capacity planning. A server stopped by a signal leaves its spill
@@ -570,10 +506,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(message) = configure_kernel_startup(options.kernels, options.sampler) {
-        eprintln!("sigfim: {message}");
-        return ExitCode::FAILURE;
-    }
 
     let labeled = match read_fimi_file(&options.path) {
         Ok(labeled) => labeled,
@@ -687,7 +619,6 @@ mod tests {
         assert_eq!(options.ks, vec![2]);
         assert_eq!(options.max_restarts, 4);
         assert_eq!(options.miner, Some(MinerKind::Apriori));
-        assert_eq!(options.kernels, None);
         let request = request_from(&options, MinerKind::Apriori);
         assert_eq!(request, AnalysisRequest::for_k(2));
     }
@@ -769,39 +700,25 @@ mod tests {
     }
 
     #[test]
-    fn kernels_flag_is_parsed_on_both_subcommands() {
-        let options = parse(&["data.dat", "--kernels", "scalar"]).unwrap();
-        assert_eq!(options.kernels, Some(KernelMode::Scalar));
-        let auto = parse(&["data.dat", "--kernels", "auto"]).unwrap();
-        assert_eq!(auto.kernels, Some(KernelMode::Auto));
-        let err = parse(&["data.dat", "--kernels", "sse9"]).unwrap_err();
-        assert!(err.contains("sse9"), "{err}");
-        assert!(parse(&["data.dat", "--kernels"]).is_err());
-
-        let serve = parse_serve(&["x.dat", "--kernels", "avx2"]).unwrap();
-        assert_eq!(serve.kernels, Some(KernelMode::Avx2));
-        assert!(parse_serve(&["x.dat", "--kernels", "unrolled"]).is_err());
-        assert!(parse_serve(&["x.dat", "--kernels", "fast"]).is_err());
-        assert!(USAGE.contains("--kernels"));
-    }
-
-    #[test]
-    fn sampler_flag_is_parsed_on_both_subcommands() {
-        assert_eq!(parse(&["data.dat"]).unwrap().sampler, None);
-        let options = parse(&["data.dat", "--sampler", "gaps"]).unwrap();
-        assert_eq!(options.sampler, Some(SamplerMode::Gaps));
-        let cellwise = parse(&["data.dat", "--sampler", "cellwise"]).unwrap();
-        assert_eq!(cellwise.sampler, Some(SamplerMode::Cellwise));
-        let auto = parse(&["data.dat", "--sampler", "auto"]).unwrap();
-        assert_eq!(auto.sampler, Some(SamplerMode::Auto));
-        let err = parse(&["data.dat", "--sampler", "dense"]).unwrap_err();
-        assert!(err.contains("dense"), "{err}");
-        assert!(parse(&["data.dat", "--sampler"]).is_err());
-
-        let serve = parse_serve(&["x.dat", "--sampler", "gaps"]).unwrap();
-        assert_eq!(serve.sampler, Some(SamplerMode::Gaps));
-        assert!(parse_serve(&["x.dat", "--sampler", "jump"]).is_err());
-        assert!(USAGE.contains("--sampler"));
+    fn kernels_and_sampler_flags_are_unknown_arguments() {
+        // Kernel and sampler dispatch are static rules with no switch: both
+        // former flags are rejected like any other unknown argument, on both
+        // subcommands, and the usage text names neither.
+        for flag in ["--kernels", "--sampler"] {
+            for value in ["auto", "scalar", "gaps"] {
+                let err = parse(&["data.dat", flag, value]).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("unknown argument `{flag}`")),
+                    "{err}"
+                );
+                let err = parse_serve(&["x.dat", flag, value]).unwrap_err();
+                assert!(
+                    err.starts_with(&format!("serve: unknown argument `{flag}`")),
+                    "{err}"
+                );
+            }
+            assert!(!USAGE.contains(flag));
+        }
     }
 
     #[test]
@@ -822,23 +739,10 @@ mod tests {
         assert_eq!(serve.shard_residency, Some(512 << 10));
         assert!(parse_serve(&["x.dat", "--shard-residency", "-3"]).is_err());
         assert!(USAGE.contains("--shard-residency"));
-        // Residency is a per-engine value built from the flag: the only
-        // environment variables the usage text names are the kernel and
-        // sampler mirrors.
-        let named: std::collections::BTreeSet<&str> = USAGE
-            .match_indices("SIGFIM_")
-            .map(|(at, _)| {
-                let tail = &USAGE[at..];
-                let end = tail
-                    .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
-                    .unwrap_or(tail.len());
-                &tail[..end]
-            })
-            .collect();
-        assert_eq!(
-            named.into_iter().collect::<Vec<_>>(),
-            ["SIGFIM_KERNELS", "SIGFIM_SAMPLER"]
-        );
+        // Residency is a per-engine value built from the flag, and no
+        // other setting is read from the environment: the usage text names
+        // no environment variable.
+        assert!(!USAGE.contains("SIGFIM_"));
     }
 
     #[test]
